@@ -26,7 +26,7 @@ use embera_bench::{
 };
 use mjpeg::{ArrivalProcess, AutoscaleConfig, OverloadConfig, Pacing};
 use embera_os21::Os21Platform;
-use sim_kernel::{Kernel, KernelConfig, LatentChannel};
+use sim_kernel::{Kernel, LatentChannel};
 use embera_repro::stats::linear_fit;
 use embera_repro::sweep::{mpsoc_send_sweep, smp_send_sweep, MpsocSender};
 use embera_repro::tables::{format_table1, format_table2, format_table3, table3_ratio};
@@ -122,7 +122,7 @@ const COMMANDS: &[Command] = &[
     Command { name: "alloc-check", help: "steady-state allocation proof (--assert-zero)", run: alloc_check, smoke_args: Some(&["--frames", "8"]) },
     Command { name: "obs-budget", help: "PR7 observation overhead gate -> BENCH_pr7.json", run: obs_budget, smoke_args: Some(&["--frames", "8", "--reps", "2", "--fanio-n", "0", "--out", "target/smoke/BENCH_pr7.json"]) },
     Command { name: "overload", help: "PR8 overload robustness curves -> BENCH_pr8.json", run: overload, smoke_args: Some(&["--frames", "32", "--out", "target/smoke/BENCH_pr8.json"]) },
-    Command { name: "shard-bench", help: "PR10 sharded-kernel + parallel-runner scaling -> BENCH_pr10.json", run: shard_bench, smoke_args: Some(&["--procs", "8", "--hops", "40", "--cells", "4", "--cell-frames", "24", "--out", "target/smoke/BENCH_pr10.json"]) },
+    Command { name: "shard-bench", help: "PR10 kernel PHOLD rate + parallel-runner scaling -> BENCH_pr10.json", run: shard_bench, smoke_args: Some(&["--procs", "8", "--hops", "40", "--cells", "4", "--cell-frames", "24", "--out", "target/smoke/BENCH_pr10.json"]) },
     Command { name: "bench-validate", help: "schema-check every BENCH_*.json (--dir path)", run: |_, a| bench_validate(a), smoke_args: Some(&[]) },
     Command { name: "fuzz", help: "bounded deterministic fuzz of the byte-level parsers", run: |_, a| fuzz(a), smoke_args: Some(&["--iters", "200", "--replay-out", "target/smoke/fuzz_replay.bin"]) },
 ];
@@ -1766,16 +1766,16 @@ fn overload(scale: &Scale, args: &[String]) {
 }
 
 // ---------------------------------------------------------------------
-// PR 10: sharded-kernel scaling + the parallel sweep runner.
+// PR 10: kernel event rate + the parallel sweep runner.
 // ---------------------------------------------------------------------
 
 /// `shard-bench` — the two PR 10 measurements in one artifact:
 ///
-/// 1. **Kernel sharding.** A PHOLD-style token ring (every hop crosses a
-///    shard boundary under round-robin placement) run at 1, 2, and 4
-///    shards, reporting host-wall events/second. The sequential and
-///    windowed schedules are asserted identical at run time — the
-///    benchmark refuses to publish numbers for diverging simulations.
+/// 1. **Kernel event rate.** A PHOLD-style token ring on the simulation
+///    kernel, reporting host-wall events/second and nanoseconds per
+///    event. The three repetitions are asserted to produce the same
+///    schedule — the benchmark refuses to publish numbers for a
+///    nondeterministic simulation.
 /// 2. **Sweep fan-out.** The same list of real-time-paced pipeline
 ///    cells dispatched through [`runner::run_cells`] at `--jobs 1` and
 ///    `--jobs N`. Pacing sleeps dominate each cell's wall clock and
@@ -1797,14 +1797,13 @@ fn shard_bench(scale: &Scale, args: &[String]) {
     // Sleep-dominated cells overlap, so the fan-out defaults wider than
     // a small host's core count; below 2 the comparison is meaningless.
     let jobs = runner::resolve_jobs(args, runner::default_jobs().max(4)).max(2);
-    println!("=== shard-bench — sharded kernel + parallel sweep runner ===");
+    println!("=== shard-bench — kernel event rate + parallel sweep runner ===");
 
-    // 1. Kernel sharding: best-of-3 host wall per shard count.
-    let run_phold = |shards: usize| {
-        let mut kernel = Kernel::with_config(KernelConfig::default().shards(shards));
-        let channels: Vec<LatentChannel<u32>> = (0..procs)
-            .map(|_| LatentChannel::new(&mut kernel, lat))
-            .collect();
+    // 1. Kernel event rate: best-of-3 host wall.
+    let run_phold = || {
+        let mut kernel = Kernel::new();
+        let channels: Vec<LatentChannel<u32>> =
+            (0..procs).map(|_| LatentChannel::new(&kernel, lat)).collect();
         for pid in 0..procs {
             let inbox = channels[pid].clone();
             let next = channels[(pid + 1) % procs].clone();
@@ -1823,36 +1822,22 @@ fn shard_bench(scale: &Scale, args: &[String]) {
         kernel.run().expect("phold run");
         let wall_s = t0.elapsed().as_secs_f64();
         let stats = kernel.stats();
-        (kernel.now(), stats.events_dispatched, stats.notifications_delivered, wall_s)
+        ((kernel.now(), stats.events_dispatched, stats.notifications_delivered), wall_s)
     };
-    let shard_counts = [1usize, 2, 4];
-    let mut kernel_rows: Vec<(usize, f64, u64, f64, u64)> = Vec::new();
-    let mut reference_schedule = None;
-    let mut schedules_identical = true;
-    for &k in &shard_counts {
-        let mut wall = f64::INFINITY;
-        let mut schedule = (0u64, 0u64, 0u64);
-        for _ in 0..3 {
-            let (now, events, notifs, w) = run_phold(k);
-            wall = wall.min(w);
-            schedule = (now, events, notifs);
-        }
-        let reference = *reference_schedule.get_or_insert(schedule);
-        // Hard stop, not a JSON flag alone: scaling numbers for a
-        // simulation that diverged from the sequential schedule are
-        // meaningless.
-        assert_eq!(
-            schedule, reference,
-            "shards={k} diverged from the sequential schedule"
-        );
-        schedules_identical &= schedule == reference;
-        let events_per_s = schedule.1 as f64 / wall;
-        println!(
-            "phold shards={k}: {:>10.0} events/s  ({} events, {:.4} s host wall, t_end {} ns)",
-            events_per_s, schedule.1, wall, schedule.0
-        );
-        kernel_rows.push((k, wall, schedule.1, events_per_s, schedule.0));
+    let (schedule, mut wall) = run_phold();
+    for _ in 0..2 {
+        let (again, w) = run_phold();
+        // Hard stop, not a JSON flag alone: a rate for a simulation
+        // whose schedule changes from run to run is meaningless.
+        assert_eq!(again, schedule, "phold schedule differs between repetitions");
+        wall = wall.min(w);
     }
+    let (t_end, events, _) = schedule;
+    let events_per_s = events as f64 / wall;
+    println!(
+        "phold: {events_per_s:>10.0} events/s  {:.0} host ns/event  ({events} events, {wall:.4} s host wall, t_end {t_end} ns)",
+        wall * 1e9 / events as f64
+    );
 
     // 2. Sweep fan-out: identical cell list at jobs=1 and jobs=N.
     let gap_ns = 4_000_000u64;
@@ -1886,19 +1871,13 @@ fn shard_bench(scale: &Scale, args: &[String]) {
         "sweep: {cells} cells x {cell_frames} frames  jobs=1 {wall_seq:.3} s  jobs={jobs} {wall_par:.3} s  speedup {speedup:.2}x"
     );
 
-    let kernel_runs_json = kernel_rows
-        .iter()
-        .map(|(k, wall, events, eps, t_end)| {
-            format!(
-                concat!(
-                    "{{ \"shards\": {}, \"wall_s\": {:.6}, \"events_dispatched\": {}, ",
-                    "\"events_per_s\": {:.1}, \"final_time_ns\": {} }}"
-                ),
-                k, wall, events, eps, t_end
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n    ");
+    let kernel_runs_json = format!(
+        concat!(
+            "{{ \"shards\": 1, \"wall_s\": {:.6}, \"events_dispatched\": {}, ",
+            "\"events_per_s\": {:.1}, \"final_time_ns\": {} }}"
+        ),
+        wall, events, events_per_s, t_end
+    );
     let json = format!(
         concat!(
             "{{\n",
@@ -1906,7 +1885,7 @@ fn shard_bench(scale: &Scale, args: &[String]) {
             "  \"provenance\": {},\n",
             "  \"phold\": {{ \"procs\": {}, \"hops\": {}, \"latency_ns\": {}, \"work_ns\": {} }},\n",
             "  \"kernel_runs\": [\n    {}\n  ],\n",
-            "  \"kernel_schedules_identical\": {},\n",
+            "  \"kernel_schedules_identical\": true,\n",
             "  \"sweep\": {{ \"cells\": {}, \"cell_frames\": {}, \"mean_gap_ms\": {}, ",
             "\"jobs\": {}, \"wall_jobs1_s\": {:.4}, \"wall_jobsn_s\": {:.4}, \"speedup\": {:.3} }}\n",
             "}}\n"
@@ -1917,7 +1896,6 @@ fn shard_bench(scale: &Scale, args: &[String]) {
         lat,
         work,
         kernel_runs_json,
-        schedules_identical,
         cells,
         cell_frames,
         gap_ns / 1_000_000,

@@ -1,13 +1,8 @@
-//! Differential determinism of the full os21 stack under kernel
-//! sharding: the same application deployed at `shards` ∈ {1, 2, 4}
-//! must produce an identical report and identical kernel statistics.
-//!
-//! The os21 backend's EMBX transports declare no channel latency, so
-//! its effective lookahead is zero and `shards > 1` exercises the
-//! kernel's shared-queue fallback — the mode real platform workloads
-//! take today. The windowed mode's own differential coverage lives in
-//! `crates/simkernel/tests/sharded.rs`; this suite pins the contract
-//! end to end through deployment, scheduling, faults, and observation.
+//! Determinism of the full os21 stack: the same application deployed
+//! twice on the simulated STi7200 must produce an identical report and
+//! identical kernel statistics. The suite pins the contract end to end
+//! through deployment, scheduling, faults, observation, and dispatch
+//! through the bench job pool.
 
 use bytes::Bytes;
 use embera::behavior::behavior_fn;
@@ -16,15 +11,12 @@ use embera::{
 };
 use embera_bench::runner;
 use embera_os21::Os21Platform;
-use sim_kernel::{KernelConfig, KernelStats};
+use sim_kernel::KernelStats;
 
-const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// Deploy on the simulated three-CPU STi7200 with the given kernel
-/// sharding and return the full run outcome.
-fn run_sharded(spec: AppSpec, shards: usize) -> (AppReport, KernelStats) {
+/// Deploy on the simulated three-CPU STi7200 and return the full run
+/// outcome.
+fn run(spec: AppSpec) -> (AppReport, KernelStats) {
     Os21Platform::three_cpu()
-        .kernel_config(KernelConfig::default().shards(shards))
         .deploy(spec)
         .expect("deploy")
         .wait_with_stats()
@@ -34,8 +26,7 @@ fn run_sharded(spec: AppSpec, shards: usize) -> (AppReport, KernelStats) {
 /// Everything observable from a run, in one comparable value. The
 /// report's Debug form covers every field deterministically (interface
 /// counters are declaration-ordered vectors, times are virtual), and
-/// `KernelStats` derives `PartialEq` — the fallback queue is gauged
-/// exactly like the sequential heap, so even `max_queue_depth` must
+/// `KernelStats` derives `PartialEq`, so even `max_queue_depth` must
 /// agree.
 fn fingerprint((report, stats): (AppReport, KernelStats)) -> (String, KernelStats) {
     (format!("{report:?}"), stats)
@@ -44,7 +35,7 @@ fn fingerprint((report, stats): (AppReport, KernelStats)) -> (String, KernelStat
 /// A three-stage pipeline spread over the three CPUs, with enough
 /// messages that any schedule divergence shows up in the counters.
 fn pipeline_app() -> AppSpec {
-    let mut app = AppBuilder::new("shard-pipe");
+    let mut app = AppBuilder::new("repeat-pipe");
     app.add(
         ComponentSpec::new(
             "src",
@@ -96,9 +87,9 @@ fn pipeline_app() -> AppSpec {
 }
 
 /// The pipeline with an observer polling every component — observation
-/// traffic rides the same kernel and must shard identically.
+/// traffic rides the same kernel and must replay identically.
 fn observed_app() -> AppSpec {
-    let mut app = AppBuilder::new("shard-observed");
+    let mut app = AppBuilder::new("repeat-observed");
     app.add(
         ComponentSpec::new(
             "src",
@@ -135,7 +126,7 @@ fn observed_app() -> AppSpec {
 /// Timed receives: the timeout path exercises `notify_after` wakeups,
 /// the schedule shape most sensitive to queue-order changes.
 fn timed_app() -> AppSpec {
-    let mut app = AppBuilder::new("shard-timed");
+    let mut app = AppBuilder::new("repeat-timed");
     app.add(
         ComponentSpec::new(
             "t",
@@ -153,84 +144,80 @@ fn timed_app() -> AppSpec {
     app.build().unwrap()
 }
 
-#[test]
-fn os21_runs_are_identical_for_any_shard_count() {
-    for (name, build) in [
-        ("pipeline", pipeline_app as fn() -> AppSpec),
-        ("observed", observed_app),
-        ("timed", timed_app),
-    ] {
-        let reference = fingerprint(run_sharded(build(), 1));
-        for shards in &SHARD_COUNTS[1..] {
-            let outcome = fingerprint(run_sharded(build(), *shards));
-            assert_eq!(
-                reference, outcome,
-                "[{name}] shards={shards} diverged from the sequential run"
-            );
-        }
-    }
+/// The pipeline with a deterministic injected corruption on one send.
+fn faulted_app() -> AppSpec {
+    let mut app = AppBuilder::new("repeat-faulted");
+    app.add(
+        ComponentSpec::new(
+            "src",
+            behavior_fn(|ctx| {
+                for i in 0..16u32 {
+                    ctx.send("out", Bytes::copy_from_slice(&i.to_le_bytes()))?;
+                }
+                Ok(())
+            }),
+        )
+        .with_required("out")
+        .with_stack_bytes(1 << 20)
+        .on_cpu(0),
+    );
+    app.add(
+        ComponentSpec::new(
+            "dst",
+            behavior_fn(|ctx| {
+                for _ in 0..16u32 {
+                    ctx.recv("in")?;
+                }
+                Ok(())
+            }),
+        )
+        .with_provided("in")
+        .with_stack_bytes(1 << 20)
+        .on_cpu(1),
+    );
+    app.connect(("src", "out"), ("dst", "in"));
+    app.with_faults(FaultPlan::new().corrupt_message("src", "out", 3));
+    app.build().unwrap()
+}
+
+/// Two runs of `build()` must agree on everything observable.
+fn assert_repeatable(name: &str, build: fn() -> AppSpec) {
+    let first = fingerprint(run(build()));
+    let second = fingerprint(run(build()));
+    assert_eq!(first, second, "[{name}] two runs of the same app diverged");
 }
 
 #[test]
-fn fault_plan_runs_are_identical_for_any_shard_count() {
+fn pipeline_runs_are_identical() {
+    assert_repeatable("pipeline", pipeline_app);
+}
+
+#[test]
+fn observed_runs_are_identical() {
+    assert_repeatable("observed", observed_app);
+}
+
+#[test]
+fn timed_runs_are_identical() {
+    assert_repeatable("timed", timed_app);
+}
+
+#[test]
+fn fault_plan_runs_are_identical() {
     // A deterministic injected corruption: delivery still happens, so
     // the run completes, but the fault machinery (detection counters,
     // supervision bookkeeping) joins the compared surface.
-    fn faulted() -> AppSpec {
-        let mut app = AppBuilder::new("shard-faulted");
-        app.add(
-            ComponentSpec::new(
-                "src",
-                behavior_fn(|ctx| {
-                    for i in 0..16u32 {
-                        ctx.send("out", Bytes::copy_from_slice(&i.to_le_bytes()))?;
-                    }
-                    Ok(())
-                }),
-            )
-            .with_required("out")
-            .with_stack_bytes(1 << 20)
-            .on_cpu(0),
-        );
-        app.add(
-            ComponentSpec::new(
-                "dst",
-                behavior_fn(|ctx| {
-                    for _ in 0..16u32 {
-                        ctx.recv("in")?;
-                    }
-                    Ok(())
-                }),
-            )
-            .with_provided("in")
-            .with_stack_bytes(1 << 20)
-            .on_cpu(1),
-        );
-        app.connect(("src", "out"), ("dst", "in"));
-        app.with_faults(FaultPlan::new().corrupt_message("src", "out", 3));
-        app.build().unwrap()
-    }
-    let reference = fingerprint(run_sharded(faulted(), 1));
-    for shards in &SHARD_COUNTS[1..] {
-        let outcome = fingerprint(run_sharded(faulted(), *shards));
-        assert_eq!(
-            reference, outcome,
-            "shards={shards} diverged from the sequential run under a fault plan"
-        );
-    }
+    assert_repeatable("faulted", faulted_app);
 }
 
 #[test]
-fn shard_sweep_through_the_job_pool_is_deterministic() {
+fn runs_through_the_job_pool_are_identical() {
     // The bench runner fanning real platform runs: every cell is one
-    // shard count, dispatched on 3 worker threads. Results must land in
-    // cell order and agree with the inline sequential dispatch.
-    let fanned = runner::run_cells(3, SHARD_COUNTS.len(), |i| {
-        fingerprint(run_sharded(pipeline_app(), SHARD_COUNTS[i]))
-    });
-    let inline = runner::run_cells(1, SHARD_COUNTS.len(), |i| {
-        fingerprint(run_sharded(pipeline_app(), SHARD_COUNTS[i]))
-    });
+    // run of the pipeline, dispatched on 3 worker threads. Results must
+    // land in cell order and agree with the inline sequential dispatch.
+    const CELLS: usize = 3;
+    let fanned = runner::run_cells(3, CELLS, |_| fingerprint(run(pipeline_app())));
+    let inline = runner::run_cells(1, CELLS, |_| fingerprint(run(pipeline_app())));
     assert_eq!(fanned, inline, "job-pool dispatch changed the outcome");
-    assert!(fanned.windows(2).all(|w| w[0] == w[1]), "shard counts disagree");
+    assert!(fanned.windows(2).all(|w| w[0] == w[1]), "cells disagree");
 }

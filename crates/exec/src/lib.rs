@@ -49,7 +49,7 @@
 //! Use `embera-inproc` for byte-identical replay, `embera-exec` for
 //! scale.
 
-pub mod fiber;
+pub use embera_fiber as fiber;
 mod executor;
 mod mailbox;
 pub mod platform;

@@ -117,10 +117,7 @@ impl Rtos {
             .insert(name.clone(), Arc::clone(&cpu_time));
         let rtos = self.clone();
         let task_name = name.clone();
-        // Pin the backing simulation process to the kernel shard matching
-        // the task's CPU: under a sharded kernel each simulated core gets
-        // its own event queue, so same-CPU tasks always share a shard.
-        let pid = kernel.spawn_on(cpu, name.clone(), move |ctx| {
+        let pid = kernel.spawn(name.clone(), move |ctx| {
             let tctx = TaskCtx::new(ctx, rtos, cpu, task_name, cpu_time);
             body(tctx);
         });

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sim_kernel::{Kernel, KernelConfig, KernelStats};
+use sim_kernel::{Kernel, KernelStats};
 
 use embera::observe::engine::ObsEngine;
 use embera::runtime::ComponentRuntime;
@@ -32,12 +32,6 @@ pub struct Os21Config {
     pub object_accounted_bytes: u64,
     /// False disables observation recording and introspection service.
     pub observe: bool,
-    /// Simulation-kernel configuration. The default is the sequential
-    /// kernel; `KernelConfig::default().shards(n)` partitions the
-    /// simulated processes across `n` event queues (tasks are pinned to
-    /// the shard of their CPU), with the schedule guaranteed identical
-    /// to the sequential one for any shard count.
-    pub kernel: KernelConfig,
 }
 
 impl Default for Os21Config {
@@ -47,7 +41,6 @@ impl Default for Os21Config {
             task_data_bytes: 60_000,
             object_accounted_bytes: 25_000,
             observe: true,
-            kernel: KernelConfig::default(),
         }
     }
 }
@@ -86,12 +79,6 @@ impl Os21Platform {
     pub fn machine(&self) -> &Machine {
         &self.machine
     }
-
-    /// Replace the simulation-kernel configuration (builder style).
-    pub fn kernel_config(mut self, kernel: KernelConfig) -> Self {
-        self.config.kernel = kernel;
-        self
-    }
 }
 
 /// A deployed MPSoC application: owns the simulation kernel; the
@@ -109,7 +96,7 @@ impl Platform for Os21Platform {
     type Running = Os21Running;
 
     fn deploy(&mut self, spec: AppSpec) -> Result<Os21Running, EmberaError> {
-        let mut kernel = Kernel::with_config(self.config.kernel.clone());
+        let mut kernel = Kernel::new();
         let rtos = Rtos::new(self.machine.clone());
         let transport = Transport::open_with_cost(self.machine.clone(), self.config.embx);
         let ncpus = self.machine.config().num_cpus();
@@ -264,9 +251,8 @@ impl Os21Running {
 
 impl Os21Running {
     /// Like [`RunningApp::wait`], but also returns the simulation
-    /// kernel's statistics — the differential tests use these to check
-    /// that sharded execution reproduces the sequential schedule
-    /// event-for-event.
+    /// kernel's statistics — the determinism tests compare these
+    /// event-for-event across runs.
     pub fn wait_with_stats(mut self) -> Result<(AppReport, KernelStats), EmberaError> {
         self.kernel
             .run()

@@ -4,9 +4,8 @@
 //! they model only ordering and blocking, not transfer cost. Higher
 //! layers (EMBX) add modeled copy costs by calling [`SimCtx::advance`]
 //! around channel operations. [`LatentChannel`] carries an explicit
-//! per-message delivery latency — the primitive that gives sharded
-//! windowed execution its lookahead (see the
-//! [`kernel` module docs](crate::kernel)).
+//! per-message delivery latency, delivered through
+//! [`SimCtx::notify_after`].
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -219,17 +218,7 @@ impl<T> BoundedSimChannel<T> {
 /// nanoseconds to arrive: an item sent at `t` becomes receivable at
 /// `t + latency`.
 ///
-/// Construction registers the latency with the kernel
-/// ([`Kernel::declare_latency`]), so a simulation wired entirely from
-/// latency-bearing channels derives its windowed-execution lookahead
-/// automatically. A latency of `0` degrades to [`SimChannel`] semantics
-/// (and collapses the kernel's lookahead, forcing the threadsafe
-/// fallback under sharded execution).
-///
-/// Under windowed execution the FIFO order of items from *different
-/// concurrent senders in different shards* is canonicalized by delivery
-/// time only; point-to-point use (one sender per channel) is fully
-/// deterministic for any shard count.
+/// A latency of `0` degrades to [`SimChannel`] semantics.
 pub struct LatentChannel<T> {
     inner: Arc<Mutex<VecDeque<(Time, T)>>>,
     nonempty: EventId,
@@ -248,10 +237,8 @@ impl<T> Clone for LatentChannel<T> {
 
 impl<T> LatentChannel<T> {
     /// Create a channel with the given delivery latency, allocating its
-    /// wakeup event from the kernel and declaring the latency for
-    /// lookahead derivation.
-    pub fn new(kernel: &mut Kernel, latency: Time) -> Self {
-        kernel.declare_latency(latency);
+    /// wakeup event from the kernel.
+    pub fn new(kernel: &Kernel, latency: Time) -> Self {
         LatentChannel {
             inner: Arc::new(Mutex::new(VecDeque::new())),
             nonempty: kernel.alloc_event(),
@@ -396,7 +383,7 @@ mod tests {
     #[test]
     fn latent_channel_delivers_after_latency() {
         let mut k = Kernel::new();
-        let ch: LatentChannel<u32> = LatentChannel::new(&mut k, 30);
+        let ch: LatentChannel<u32> = LatentChannel::new(&k, 30);
         let tx = ch.clone();
         k.spawn("p", move |ctx| {
             ctx.advance(10);
@@ -412,7 +399,7 @@ mod tests {
     #[test]
     fn latent_channel_preserves_fifo_order() {
         let mut k = Kernel::new();
-        let ch: LatentChannel<u32> = LatentChannel::new(&mut k, 5);
+        let ch: LatentChannel<u32> = LatentChannel::new(&k, 5);
         let tx = ch.clone();
         k.spawn("p", move |ctx| {
             for i in 0..50 {
@@ -429,13 +416,5 @@ mod tests {
         });
         k.run().unwrap();
         assert_eq!(*out.lock(), (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn latent_channel_declares_its_latency_for_lookahead() {
-        let mut k = Kernel::new();
-        let _a: LatentChannel<u8> = LatentChannel::new(&mut k, 30);
-        let _b: LatentChannel<u8> = LatentChannel::new(&mut k, 10);
-        assert_eq!(k.effective_lookahead(), 10);
     }
 }

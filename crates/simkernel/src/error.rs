@@ -26,13 +26,6 @@ pub enum SimError {
     ProcessPanicked { name: String, message: String },
     /// `run_until` hit its horizon before the simulation finished.
     HorizonReached { at: Time },
-    /// Windowed parallel execution detected an interaction that violates
-    /// its conservative lookahead contract: a zero-delay notification
-    /// reaching a waiter in another shard, a `notify_after` delay shorter
-    /// than the lookahead, or a process spawned inside a window. The
-    /// simulation is aborted rather than allowed to diverge from the
-    /// sequential schedule.
-    LookaheadViolation { at: Time, detail: String },
 }
 
 impl fmt::Display for SimError {
@@ -49,9 +42,6 @@ impl fmt::Display for SimError {
             }
             SimError::HorizonReached { at } => {
                 write!(f, "simulation horizon reached at t={at}ns")
-            }
-            SimError::LookaheadViolation { at, detail } => {
-                write!(f, "lookahead violation at t={at}ns: {detail}")
             }
         }
     }

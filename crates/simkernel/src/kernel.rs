@@ -1,66 +1,33 @@
-//! The discrete-event kernel: event queue, scheduling loop, determinism,
-//! and the sharded parallel execution modes.
+//! The discrete-event kernel: event queue, scheduling loop and
+//! determinism.
 //!
-//! # Execution modes
-//!
-//! The kernel picks one of three algorithms from its [`KernelConfig`]:
-//!
-//! * **Sequential** (`shards == 1`, the default): the classic single
-//!   `BinaryHeap` loop — one event popped at a time in `(time, seq)`
-//!   order.
-//! * **Threadsafe fallback** (`shards > 1`, lookahead `0`): the *same*
-//!   sequential algorithm running over a shared
-//!   `Mutex<BinaryHeap<Reverse<Entry>>>`. Whenever the minimum
-//!   cross-shard channel latency collapses to zero there is no sound
-//!   window to run shards concurrently in, so the kernel degrades to
-//!   this queue and stays byte-identical to sequential execution by
-//!   construction — correctness never depends on the partition.
-//! * **Windowed parallel** (`shards > 1`, lookahead `> 0`): conservative
-//!   parallel discrete-event simulation. Processes are partitioned into
-//!   shards, each shard owns a local event heap, and all shards advance
-//!   concurrently inside the time window `[T, T + lookahead)` where `T`
-//!   is the global minimum pending event time. Cross-shard communication
-//!   must use [`SimCtx::notify_after`] with `dt >= lookahead` (e.g. via
-//!   [`LatentChannel`](crate::channel::LatentChannel)); deliveries are
-//!   exchanged only at window boundaries and merged in the canonical
-//!   `(time, producer pid, dispatch index, effect index)` order, so the
-//!   schedule is independent of how shards interleave on the host.
-//!
-//! # Why determinism survives windowing
-//!
-//! Within a shard, events run in local `(time, seq)` order — the same
-//! relative order the sequential kernel would use for that subset,
-//! because a shard's pushes happen in its own dispatch order. Across
-//! shards, the only interactions are timed notifications, which carry a
-//! partition-independent tag and are applied single-threaded at window
-//! boundaries in tag order with fresh global sequence numbers. Per-window
-//! sequence numbers are drawn from disjoint per-shard blocks so no two
-//! shards can mint the same `(time, seq)` key, and the block base always
-//! exceeds every previously assigned number, preserving the global
-//! old-before-new tie-break at equal times. Violations of the protocol
-//! (zero-delay cross-shard wakeups, in-window spawns, `dt < lookahead`)
-//! are *errors*, not silent nondeterminism — see
-//! [`SimError::LookaheadViolation`].
+//! One loop pops events in `(time, seq)` order from a single
+//! `BinaryHeap`, where `seq` is the order in which events were queued.
+//! Timed notifications ([`SimCtx::notify_after`]) wait in a second heap
+//! ordered by `(time, tag)`, the tag naming the producing process, its
+//! dispatch and the call within that dispatch; a delivery wins a tie
+//! with a queued event of the same time. Each dispatch resumes the
+//! process's fiber on the caller's thread and returns once the process
+//! yields back, so the simulation is a single thread of control.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use parking_lot::Mutex;
+use embera_fiber::Fiber;
 
 use crate::error::{DeadlockInfo, SimError};
 use crate::process::{
-    process_main, Directory, EventId, Pid, Rendezvous, ResumeKind, SharedClock, SideEffects,
+    process_fiber, Directory, EventId, Pid, Rendezvous, ResumeKind, SharedClock, SideEffects,
     SimCtx, YieldReason,
 };
 use crate::Time;
 
-/// Per-window sequence numbers are drawn from disjoint per-shard blocks
-/// of this size; the global counter jumps past all blocks at each window
-/// boundary.
-const SEQ_BLOCK: u64 = 1 << 32;
+/// Initial capacity of the event queue. Spawning grows it ahead of
+/// demand (twice the process count) so heap regrowth stays out of
+/// alloc-sensitive measurement loops.
+const INITIAL_QUEUE_CAPACITY: usize = 64;
 
 /// Outcome of [`Kernel::run_until`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,56 +36,6 @@ pub enum RunOutcome {
     Completed,
     /// The horizon was reached with work still pending.
     Horizon,
-}
-
-/// How the kernel executes: number of shards, the conservative window
-/// width, and event-queue pre-sizing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KernelConfig {
-    /// Number of process shards. `1` (the default) is the sequential
-    /// kernel; `> 1` enables the parallel modes described in the
-    /// [module docs](self).
-    pub shards: usize,
-    /// Conservative window width in virtual nanoseconds. `0` (the
-    /// default) derives the lookahead from the minimum latency declared
-    /// by [`Kernel::declare_latency`] (e.g. by
-    /// [`LatentChannel`](crate::channel::LatentChannel)); if latencies
-    /// are declared *and* this is set, the smaller wins.
-    pub lookahead: Time,
-    /// Initial capacity of the event queue. Spawning grows it ahead of
-    /// demand (twice the process count) so heap regrowth stays out of
-    /// alloc-sensitive measurement loops.
-    pub queue_capacity: usize,
-}
-
-impl Default for KernelConfig {
-    fn default() -> Self {
-        KernelConfig {
-            shards: 1,
-            lookahead: 0,
-            queue_capacity: 64,
-        }
-    }
-}
-
-impl KernelConfig {
-    /// Set the shard count (clamped to at least 1).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Set an explicit lookahead window.
-    pub fn lookahead(mut self, lookahead: Time) -> Self {
-        self.lookahead = lookahead;
-        self
-    }
-
-    /// Set the initial event-queue capacity.
-    pub fn queue_capacity(mut self, cap: usize) -> Self {
-        self.queue_capacity = cap;
-        self
-    }
 }
 
 /// Aggregate statistics about a simulation run.
@@ -130,8 +47,7 @@ pub struct KernelStats {
     pub processes_spawned: u64,
     /// Number of event notifications delivered to waiters.
     pub notifications_delivered: u64,
-    /// High-water mark of the event queue (per shard-local queue under
-    /// windowed execution), for sizing [`KernelConfig::queue_capacity`].
+    /// High-water mark of the event queue.
     pub max_queue_depth: u64,
 }
 
@@ -141,14 +57,6 @@ enum QueueItem {
     /// Timeout check for a process that issued `wait_timeout`; `epoch`
     /// invalidates the check if the process was notified first.
     Timeout(Pid, u64),
-}
-
-impl QueueItem {
-    fn pid(&self) -> Pid {
-        match *self {
-            QueueItem::Resume(pid, _) | QueueItem::Timeout(pid, _) => pid,
-        }
-    }
 }
 
 #[derive(PartialEq, Eq)]
@@ -169,11 +77,10 @@ impl PartialOrd for Entry {
     }
 }
 
-/// Partition-independent identity of one side effect: which process
-/// produced it, during which of its dispatches, at which position in the
-/// effect stream of that dispatch. Together with the delivery time this
-/// totally orders timed notifications the same way for every shard
-/// count.
+/// Identity of one timed notification: which process produced it, during
+/// which of its dispatches, at which position in the effect stream of
+/// that dispatch. Together with the delivery time this totally orders
+/// timed notifications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct EffectTag {
     pid: Pid,
@@ -190,16 +97,6 @@ struct TimedEntry {
     event: EventId,
 }
 
-/// A registered waiter, remembering the `(time, seq)` of the dispatch
-/// that registered it. Wakeups are applied in this order — which is
-/// exactly registration order under sequential execution, and the
-/// canonical cross-shard order under windowed execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Waiter {
-    pid: Pid,
-    reg: (Time, u64),
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ProcState {
     Runnable,
@@ -209,10 +106,9 @@ enum ProcState {
 
 struct ProcEntry {
     name: String,
-    shard: usize,
     rendezvous: Arc<Rendezvous>,
-    effects: Arc<SideEffects>,
-    handle: Option<JoinHandle<()>>,
+    /// The process's fiber; `None` once it has finished.
+    fiber: Option<Fiber>,
     state: ProcState,
     daemon: bool,
     /// Bumped every time the process blocks; stale timeout checks compare
@@ -223,98 +119,23 @@ struct ProcEntry {
     dispatch_count: u64,
 }
 
-/// The event queue behind the sequential loop: a plain heap, or the
-/// shared mutex-protected heap the zero-lookahead fallback runs on.
-enum EventQueue {
-    Local(BinaryHeap<Reverse<Entry>>),
-    Shared(Arc<Mutex<BinaryHeap<Reverse<Entry>>>>),
-}
-
-impl EventQueue {
-    fn new(shared: bool, capacity: usize) -> Self {
-        if shared {
-            EventQueue::Shared(Arc::new(Mutex::new(BinaryHeap::with_capacity(capacity))))
-        } else {
-            EventQueue::Local(BinaryHeap::with_capacity(capacity))
-        }
-    }
-
-    /// Push an entry, returning the queue depth after the push.
-    fn push(&mut self, entry: Entry) -> usize {
-        match self {
-            EventQueue::Local(h) => {
-                h.push(Reverse(entry));
-                h.len()
-            }
-            EventQueue::Shared(m) => {
-                let mut h = m.lock();
-                h.push(Reverse(entry));
-                h.len()
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<Entry> {
-        match self {
-            EventQueue::Local(h) => h.pop().map(|Reverse(e)| e),
-            EventQueue::Shared(m) => m.lock().pop().map(|Reverse(e)| e),
-        }
-    }
-
-    fn peek_key(&self) -> Option<(Time, u64)> {
-        match self {
-            EventQueue::Local(h) => h.peek().map(|Reverse(e)| (e.time, e.seq)),
-            EventQueue::Shared(m) => m.lock().peek().map(|Reverse(e)| (e.time, e.seq)),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            EventQueue::Local(h) => h.len(),
-            EventQueue::Shared(m) => m.lock().len(),
-        }
-    }
-
-    /// Grow the backing heap so at least `want` entries fit without
-    /// reallocation.
-    fn ensure_capacity(&mut self, want: usize) {
-        match self {
-            EventQueue::Local(h) => {
-                if h.capacity() < want {
-                    h.reserve(want - h.len());
-                }
-            }
-            EventQueue::Shared(m) => {
-                let mut h = m.lock();
-                if h.capacity() < want {
-                    let len = h.len();
-                    h.reserve(want - len);
-                }
-            }
-        }
-    }
-}
-
 /// Deterministic discrete-event simulation kernel.
 ///
 /// See the [crate-level documentation](crate) for the execution model and
-/// the [module documentation](self) for the sharded modes.
+/// the [module documentation](self) for the event order.
 pub struct Kernel {
-    config: KernelConfig,
     procs: Vec<ProcEntry>,
-    queue: EventQueue,
+    queue: BinaryHeap<Reverse<Entry>>,
     /// Deferred notifications ([`SimCtx::notify_after`]), delivered in
     /// canonical `(time, tag)` order.
     timed: BinaryHeap<Reverse<TimedEntry>>,
-    waiters: HashMap<EventId, Vec<Waiter>>,
+    /// Waiters per event, in registration order.
+    waiters: HashMap<EventId, Vec<Pid>>,
     clock: Arc<SharedClock>,
-    /// One virtual-time cell per shard, read by that shard's processes.
-    shard_clocks: Vec<Arc<AtomicU64>>,
+    effects: Arc<SideEffects>,
     directory: Arc<Directory>,
     seq: u64,
     stats: KernelStats,
-    /// Minimum latency declared by channels, the default lookahead.
-    min_latency: Option<Time>,
 }
 
 impl Default for Kernel {
@@ -324,32 +145,19 @@ impl Default for Kernel {
 }
 
 impl Kernel {
-    /// Create an empty sequential kernel at virtual time zero.
+    /// Create an empty kernel at virtual time zero.
     pub fn new() -> Self {
-        Self::with_config(KernelConfig::default())
-    }
-
-    /// Create an empty kernel with an explicit execution configuration.
-    pub fn with_config(config: KernelConfig) -> Self {
-        let shards = config.shards.max(1);
         Kernel {
             procs: Vec::new(),
-            queue: EventQueue::new(shards > 1, config.queue_capacity),
+            queue: BinaryHeap::with_capacity(INITIAL_QUEUE_CAPACITY),
             timed: BinaryHeap::new(),
             waiters: HashMap::new(),
             clock: Arc::new(SharedClock::new()),
-            shard_clocks: (0..shards).map(|_| Arc::new(AtomicU64::new(0))).collect(),
+            effects: Arc::new(SideEffects::default()),
             directory: Arc::new(Directory::default()),
             seq: 0,
             stats: KernelStats::default(),
-            min_latency: None,
-            config,
         }
-    }
-
-    /// The execution configuration this kernel was built with.
-    pub fn config(&self) -> &KernelConfig {
-        &self.config
     }
 
     /// Current virtual time.
@@ -367,46 +175,13 @@ impl Kernel {
         EventId(self.clock.next_event_id.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Record that some channel in the simulation carries `latency`
-    /// nanoseconds of modeled delay. The minimum declared latency is the
-    /// default lookahead for windowed execution; declaring `0` collapses
-    /// the lookahead and forces the threadsafe fallback.
-    pub fn declare_latency(&mut self, latency: Time) {
-        self.min_latency = Some(match self.min_latency {
-            Some(cur) => cur.min(latency),
-            None => latency,
-        });
-    }
-
-    /// The window width windowed execution would use: the explicit
-    /// [`KernelConfig::lookahead`] and/or the minimum declared channel
-    /// latency, whichever is smaller (0 = no sound window, fallback).
-    pub fn effective_lookahead(&self) -> Time {
-        match (self.config.lookahead, self.min_latency) {
-            (0, Some(m)) => m,
-            (la, Some(m)) => la.min(m),
-            (la, None) => la,
-        }
-    }
-
     /// Spawn a simulated process; it becomes runnable at the current
-    /// virtual time. Returns its [`Pid`]. Processes are assigned to
-    /// shards round-robin (`pid % shards`); use [`Kernel::spawn_on`] to
-    /// pin placement.
+    /// virtual time. Returns its [`Pid`].
     pub fn spawn<F>(&mut self, name: impl Into<String>, body: F) -> Pid
     where
         F: FnOnce(SimCtx) + Send + 'static,
     {
-        self.spawn_inner(name.into(), Box::new(body), false, None, None)
-    }
-
-    /// Spawn a process pinned to a shard (`shard % shards`, so callers
-    /// may pass a natural affinity key such as a CPU index directly).
-    pub fn spawn_on<F>(&mut self, shard: usize, name: impl Into<String>, body: F) -> Pid
-    where
-        F: FnOnce(SimCtx) + Send + 'static,
-    {
-        self.spawn_inner(name.into(), Box::new(body), false, None, Some(shard))
+        self.spawn_inner(name.into(), Box::new(body), false, None)
     }
 
     /// Spawn a *daemon* process: the simulation is considered complete
@@ -416,7 +191,7 @@ impl Kernel {
     where
         F: FnOnce(SimCtx) + Send + 'static,
     {
-        self.spawn_inner(name.into(), Box::new(body), true, None, None)
+        self.spawn_inner(name.into(), Box::new(body), true, None)
     }
 
     fn spawn_inner(
@@ -425,37 +200,25 @@ impl Kernel {
         body: Box<dyn FnOnce(SimCtx) + Send + 'static>,
         daemon: bool,
         reserved: Option<Pid>,
-        shard_hint: Option<usize>,
     ) -> Pid {
         // Pids are allocated by the shared directory so runtime spawns
         // (which reserve before the kernel materializes them) stay
         // aligned with the kernel's process table.
         let pid = reserved.unwrap_or_else(|| self.directory.reserve(self.alloc_event()));
         debug_assert_eq!(pid, self.procs.len(), "directory/kernel pid skew");
-        let nshards = self.shard_clocks.len();
-        let shard = shard_hint.map_or(pid % nshards, |s| s % nshards);
         let rendezvous = Arc::new(Rendezvous::default());
-        let effects = Arc::new(SideEffects::default());
         let ctx = SimCtx {
             pid,
             name: name.clone(),
             rendezvous: Arc::clone(&rendezvous),
             clock: Arc::clone(&self.clock),
-            now_cell: Arc::clone(&self.shard_clocks[shard]),
-            effects: Arc::clone(&effects),
+            effects: Arc::clone(&self.effects),
             directory: Arc::clone(&self.directory),
         };
-        let thread_name = format!("sim:{name}");
-        let handle = std::thread::Builder::new()
-            .name(thread_name)
-            .spawn(move || process_main(ctx, body))
-            .expect("failed to spawn simulated process thread");
         self.procs.push(ProcEntry {
             name,
-            shard,
             rendezvous,
-            effects,
-            handle: Some(handle),
+            fiber: Some(process_fiber(ctx, body)),
             state: ProcState::Runnable,
             daemon,
             wait_epoch: 0,
@@ -464,7 +227,10 @@ impl Kernel {
         self.stats.processes_spawned += 1;
         // Pre-size ahead of demand: each process typically keeps at most
         // a resume plus a timeout in flight.
-        self.queue.ensure_capacity(self.procs.len() * 2);
+        let want = self.procs.len() * 2;
+        if self.queue.capacity() < want {
+            self.queue.reserve(want - self.queue.len());
+        }
         let now = self.now();
         self.push(now, QueueItem::Resume(pid, ResumeKind::Scheduled));
         pid
@@ -486,39 +252,29 @@ impl Kernel {
         &self.procs[pid].name
     }
 
-    /// Shard a process was assigned to.
-    pub fn shard_of(&self, pid: Pid) -> usize {
-        self.procs[pid].shard
-    }
-
     fn push(&mut self, time: Time, item: QueueItem) {
         let seq = self.seq;
         self.seq += 1;
-        let depth = self.queue.push(Entry { time, seq, item });
-        self.stats.max_queue_depth = self.stats.max_queue_depth.max(depth as u64);
+        self.queue.push(Reverse(Entry { time, seq, item }));
+        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len() as u64);
     }
 
     fn deliver_notification(&mut self, event: EventId) {
-        if let Some(mut waiters) = self.waiters.remove(&event) {
-            // Canonical wake order. Sequential registration already
-            // appends in (time, seq) order, so this is a no-op there; it
-            // matters for waiters registered by concurrent shards.
-            waiters.sort_unstable_by_key(|w| w.reg);
+        if let Some(waiters) = self.waiters.remove(&event) {
             let now = self.now();
-            for w in waiters {
+            for pid in waiters {
                 // The waiter's epoch advances so stale timeout checks
                 // become no-ops.
-                self.procs[w.pid].wait_epoch += 1;
-                self.procs[w.pid].state = ProcState::Runnable;
+                self.procs[pid].wait_epoch += 1;
+                self.procs[pid].state = ProcState::Runnable;
                 self.stats.notifications_delivered += 1;
-                self.push(now, QueueItem::Resume(w.pid, ResumeKind::Notified));
+                self.push(now, QueueItem::Resume(pid, ResumeKind::Notified));
             }
         }
     }
 
     fn drain_side_effects(&mut self, pid: Pid) {
-        let effects = Arc::clone(&self.procs[pid].effects);
-        let shard = self.procs[pid].shard;
+        let effects = Arc::clone(&self.effects);
         let dispatch = self.procs[pid].dispatch_count;
         let now = self.now();
         // Notifications first: a process that notified an event during its
@@ -548,9 +304,7 @@ impl Kernel {
             let next = effects.spawns.lock().pop_front();
             match next {
                 Some((name, body, child)) => {
-                    // Children inherit their parent's shard so runtime
-                    // process trees stay local.
-                    self.spawn_inner(name, body, false, Some(child), Some(shard));
+                    self.spawn_inner(name, body, false, Some(child));
                 }
                 None => break,
             }
@@ -582,19 +336,6 @@ impl Kernel {
     /// Run the simulation until all non-daemon processes complete or the
     /// virtual clock would pass `horizon`.
     pub fn run_until(&mut self, horizon: Time) -> Result<RunOutcome, SimError> {
-        let nshards = self.config.shards.max(1);
-        let lookahead = self.effective_lookahead();
-        if nshards > 1 && lookahead > 0 {
-            self.run_windowed(horizon, nshards, lookahead)
-        } else {
-            self.run_sequential(horizon)
-        }
-    }
-
-    /// The sequential scheduling loop, shared by the default mode and the
-    /// zero-lookahead threadsafe fallback (which only swaps the queue
-    /// representation).
-    fn run_sequential(&mut self, horizon: Time) -> Result<RunOutcome, SimError> {
         loop {
             if self.all_non_daemons_done() && !self.procs.is_empty() {
                 return Ok(RunOutcome::Completed);
@@ -602,8 +343,8 @@ impl Kernel {
             // Next source: the timed-notification heap or the event queue;
             // timed deliveries win ties so a wakeup at time t precedes the
             // seq-ordered entries it creates at t.
-            let take_timed = match (self.timed.peek(), self.queue.peek_key()) {
-                (Some(Reverse(t)), Some((qt, _))) => t.time <= qt,
+            let take_timed = match (self.timed.peek(), self.queue.peek()) {
+                (Some(Reverse(t)), Some(Reverse(q))) => t.time <= q.time,
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
                 (None, None) => {
@@ -627,13 +368,10 @@ impl Kernel {
                 self.deliver_notification(te.event);
                 continue;
             }
-            let entry = match self.queue.pop() {
-                Some(e) => e,
-                None => unreachable!("queue head vanished"),
-            };
+            let Reverse(entry) = self.queue.pop().expect("peeked");
             if entry.time > horizon {
                 // Not consumed: push back so a later run_until can resume.
-                self.queue.push(entry);
+                self.queue.push(Reverse(entry));
                 self.clock.now.store(horizon, Ordering::Release);
                 return Ok(RunOutcome::Horizon);
             }
@@ -648,7 +386,7 @@ impl Kernel {
                     }
                     if let ProcState::Waiting { event, .. } = self.procs[pid].state {
                         if let Some(ws) = self.waiters.get_mut(&event) {
-                            ws.retain(|w| w.pid != pid);
+                            ws.retain(|&w| w != pid);
                             if ws.is_empty() {
                                 self.waiters.remove(&event);
                             }
@@ -656,26 +394,28 @@ impl Kernel {
                     }
                     self.procs[pid].wait_epoch += 1;
                     self.procs[pid].state = ProcState::Runnable;
-                    self.dispatch(pid, ResumeKind::TimedOut, (entry.time, entry.seq))?;
+                    self.dispatch(pid, ResumeKind::TimedOut)?;
                 }
                 QueueItem::Resume(pid, kind) => {
                     if self.procs[pid].state == ProcState::Done {
                         continue;
                     }
-                    self.dispatch(pid, kind, (entry.time, entry.seq))?;
+                    self.dispatch(pid, kind)?;
                 }
             }
         }
     }
 
-    /// Resume `pid`, wait for its yield, then apply side effects and the
-    /// yield reason. `reg` is the `(time, seq)` of the dispatching entry,
-    /// recorded on any wait this slice registers.
-    fn dispatch(&mut self, pid: Pid, kind: ResumeKind, reg: (Time, u64)) -> Result<(), SimError> {
+    /// Resume `pid` until it yields, then apply side effects and the
+    /// yield reason.
+    fn dispatch(&mut self, pid: Pid, kind: ResumeKind) -> Result<(), SimError> {
         self.stats.events_dispatched += 1;
-        self.procs[pid].dispatch_count += 1;
-        self.shard_clocks[self.procs[pid].shard].store(reg.0, Ordering::Release);
-        let reason = self.procs[pid].rendezvous.resume_and_wait(kind);
+        let p = &mut self.procs[pid];
+        p.dispatch_count += 1;
+        let reason = p
+            .rendezvous
+            .resume(&mut p.fiber, kind)
+            .expect("process yielded without a reason");
         self.drain_side_effects(pid);
         let now = self.now();
         match reason {
@@ -688,572 +428,40 @@ impl Kernel {
             YieldReason::Wait(event) => {
                 let epoch = self.procs[pid].wait_epoch;
                 self.procs[pid].state = ProcState::Waiting { event, epoch };
-                self.waiters
-                    .entry(event)
-                    .or_default()
-                    .push(Waiter { pid, reg });
+                self.waiters.entry(event).or_default().push(pid);
             }
             YieldReason::WaitTimeout(event, dt) => {
                 let epoch = self.procs[pid].wait_epoch;
                 self.procs[pid].state = ProcState::Waiting { event, epoch };
-                self.waiters
-                    .entry(event)
-                    .or_default()
-                    .push(Waiter { pid, reg });
+                self.waiters.entry(event).or_default().push(pid);
                 self.push(now.saturating_add(dt), QueueItem::Timeout(pid, epoch));
             }
             YieldReason::Done => {
                 self.procs[pid].state = ProcState::Done;
                 let completion = self.directory.mark_finished(pid);
                 self.deliver_notification(completion);
-                if let Some(handle) = self.procs[pid].handle.take() {
-                    let _ = handle.join();
-                }
             }
             YieldReason::Panicked(message) => {
                 self.procs[pid].state = ProcState::Done;
                 let completion = self.directory.mark_finished(pid);
                 self.deliver_notification(completion);
                 let name = self.procs[pid].name.clone();
-                if let Some(handle) = self.procs[pid].handle.take() {
-                    let _ = handle.join();
-                }
                 return Err(SimError::ProcessPanicked { name, message });
             }
         }
         Ok(())
     }
-
-    /// Conservative windowed parallel execution (see the module docs).
-    fn run_windowed(
-        &mut self,
-        horizon: Time,
-        nshards: usize,
-        lookahead: Time,
-    ) -> Result<RunOutcome, SimError> {
-        // Pull the global queue apart into shard-local heaps; entries keep
-        // their (time, seq) keys so local order matches global order.
-        let mut shard_heaps: Vec<BinaryHeap<Reverse<Entry>>> = (0..nshards)
-            .map(|_| BinaryHeap::with_capacity(self.queue.len() / nshards + 8))
-            .collect();
-        while let Some(e) = self.queue.pop() {
-            let shard = self.procs[e.item.pid()].shard;
-            shard_heaps[shard].push(Reverse(e));
-        }
-
-        let result = 'run: loop {
-            let unfinished_count = self
-                .procs
-                .iter()
-                .filter(|p| !p.daemon && p.state != ProcState::Done)
-                .count();
-            if unfinished_count == 0 && !self.procs.is_empty() {
-                break 'run Ok(RunOutcome::Completed);
-            }
-            let next_queue = shard_heaps
-                .iter()
-                .filter_map(|h| h.peek().map(|Reverse(e)| e.time))
-                .min();
-            let next_timed = self.timed.peek().map(|Reverse(t)| t.time);
-            let t = match (next_queue, next_timed) {
-                (Some(q), Some(d)) => q.min(d),
-                (Some(q), None) => q,
-                (None, Some(d)) => d,
-                (None, None) => {
-                    if self.all_non_daemons_done() {
-                        break 'run Ok(RunOutcome::Completed);
-                    }
-                    break 'run Err(SimError::Deadlock(DeadlockInfo {
-                        at: self.now(),
-                        blocked: self.blocked_names(),
-                    }));
-                }
-            };
-            if t > horizon {
-                self.clock.now.store(horizon, Ordering::Release);
-                break 'run Ok(RunOutcome::Horizon);
-            }
-            debug_assert!(t < Time::MAX, "windowed execution requires event times < Time::MAX");
-
-            // Boundary phase (single-threaded): deliver the timed
-            // notifications whose time *is* the global minimum, in
-            // canonical (time, tag) order, pushing wakeups into the
-            // waiters' shard heaps with fresh global sequence numbers.
-            // Only the at-minimum entries are safe to deliver: every
-            // shard has simulated up to t, so the waiter registrations
-            // visible now are exactly the ones the sequential kernel
-            // would see at t. Later deliveries wait for their own
-            // boundary — and the window below never runs past them.
-            while let Some(&Reverse(te)) = self.timed.peek() {
-                if te.time > t {
-                    break;
-                }
-                self.timed.pop();
-                self.clock.now.store(te.time, Ordering::Release);
-                if let Some(mut ws) = self.waiters.remove(&te.event) {
-                    ws.sort_unstable_by_key(|w| w.reg);
-                    for w in ws {
-                        self.procs[w.pid].wait_epoch += 1;
-                        self.procs[w.pid].state = ProcState::Runnable;
-                        self.stats.notifications_delivered += 1;
-                        let seq = self.seq;
-                        self.seq += 1;
-                        let shard = self.procs[w.pid].shard;
-                        shard_heaps[shard].push(Reverse(Entry {
-                            time: te.time,
-                            seq,
-                            item: QueueItem::Resume(w.pid, ResumeKind::Notified),
-                        }));
-                    }
-                }
-            }
-            // The window may not overrun the earliest still-pending
-            // delivery: its waiter set is only complete once the global
-            // clock reaches it.
-            let mut window_end = t
-                .saturating_add(lookahead)
-                .min(horizon.saturating_add(1));
-            if let Some(&Reverse(te)) = self.timed.peek() {
-                window_end = window_end.min(te.time);
-            }
-
-            // Window phase: one worker per shard, each running its local
-            // heap up to (but excluding) window_end.
-            let seq_base = self.seq;
-            let directory = Arc::clone(&self.directory);
-            let cells: Vec<Arc<AtomicU64>> = self.shard_clocks.clone();
-            let waiters_mx = Mutex::new(std::mem::take(&mut self.waiters));
-            let unfinished = AtomicUsize::new(unfinished_count);
-            let outcomes: Vec<ShardWindowOutcome> = {
-                let mut parts: Vec<Vec<(Pid, &mut ProcEntry)>> =
-                    (0..nshards).map(|_| Vec::new()).collect();
-                for (pid, p) in self.procs.iter_mut().enumerate() {
-                    parts[p.shard].push((pid, p));
-                }
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = parts
-                        .into_iter()
-                        .zip(shard_heaps.iter_mut())
-                        .enumerate()
-                        .map(|(shard, (part, heap))| {
-                            let cell = Arc::clone(&cells[shard]);
-                            let dir = Arc::clone(&directory);
-                            let waiters = &waiters_mx;
-                            let unfinished = &unfinished;
-                            s.spawn(move || {
-                                run_shard_window(
-                                    window_end,
-                                    lookahead,
-                                    seq_base + (shard as u64) * SEQ_BLOCK,
-                                    heap,
-                                    part,
-                                    waiters,
-                                    unfinished,
-                                    &cell,
-                                    &dir,
-                                )
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("shard worker panicked"))
-                        .collect()
-                })
-            };
-            self.waiters = waiters_mx.into_inner();
-            self.seq = seq_base
-                .checked_add(nshards as u64 * SEQ_BLOCK)
-                .expect("sequence space exhausted");
-            let mut first_error: Option<((Time, u64), SimError)> = None;
-            for o in outcomes {
-                self.stats.events_dispatched += o.dispatched;
-                self.stats.notifications_delivered += o.notifications;
-                self.stats.max_queue_depth = self.stats.max_queue_depth.max(o.max_depth);
-                for te in o.timed {
-                    self.timed.push(Reverse(te));
-                }
-                if let Some((key, err)) = o.error {
-                    let better = first_error.as_ref().is_none_or(|(k, _)| key < *k);
-                    if better {
-                        first_error = Some((key, err));
-                    }
-                }
-            }
-            let max_cell = self
-                .shard_clocks
-                .iter()
-                .map(|c| c.load(Ordering::Acquire))
-                .max()
-                .unwrap_or(0);
-            self.clock.now.fetch_max(max_cell, Ordering::AcqRel);
-            if let Some((_, err)) = first_error {
-                break 'run Err(err);
-            }
-        };
-
-        // Fold the surviving shard-local entries back into the global
-        // queue (their keys are preserved, so the heap restores the
-        // canonical order) for a later run_until or drop.
-        for heap in &mut shard_heaps {
-            while let Some(Reverse(e)) = heap.pop() {
-                self.queue.push(e);
-            }
-        }
-        result
-    }
-}
-
-/// Per-window result of one shard worker.
-#[derive(Default)]
-struct ShardWindowOutcome {
-    dispatched: u64,
-    notifications: u64,
-    max_depth: u64,
-    /// Timed notifications produced this window, merged into the global
-    /// heap at the boundary.
-    timed: Vec<TimedEntry>,
-    /// First protocol violation or process failure, keyed by the
-    /// dispatching entry so the coordinator reports the canonically
-    /// earliest one.
-    error: Option<((Time, u64), SimError)>,
-}
-
-/// Wake the local waiters of `event` at time `at`. Returns the name-less
-/// pid of a foreign (cross-shard) waiter if one is registered — a
-/// protocol violation under windowed execution.
-fn wake_local_waiters(
-    event: EventId,
-    at: Time,
-    procs: &mut HashMap<Pid, &mut ProcEntry>,
-    heap: &mut BinaryHeap<Reverse<Entry>>,
-    waiters: &Mutex<HashMap<EventId, Vec<Waiter>>>,
-    seq: &mut u64,
-    notifications: &mut u64,
-) -> Result<(), Pid> {
-    let Some(mut ws) = waiters.lock().remove(&event) else {
-        return Ok(());
-    };
-    ws.sort_unstable_by_key(|w| w.reg);
-    for w in ws {
-        let Some(p) = procs.get_mut(&w.pid) else {
-            return Err(w.pid);
-        };
-        p.wait_epoch += 1;
-        p.state = ProcState::Runnable;
-        *notifications += 1;
-        let s = *seq;
-        *seq += 1;
-        heap.push(Reverse(Entry {
-            time: at,
-            seq: s,
-            item: QueueItem::Resume(w.pid, ResumeKind::Notified),
-        }));
-    }
-    Ok(())
-}
-
-/// One shard's slice of a window: run local entries in `(time, seq)`
-/// order up to (excluding) `window_end`, delivering zero-delay
-/// notifications locally and deferring latency-bearing ones to the
-/// boundary.
-#[allow(clippy::too_many_arguments)]
-fn run_shard_window(
-    window_end: Time,
-    lookahead: Time,
-    seq_start: u64,
-    heap: &mut BinaryHeap<Reverse<Entry>>,
-    part: Vec<(Pid, &mut ProcEntry)>,
-    waiters: &Mutex<HashMap<EventId, Vec<Waiter>>>,
-    unfinished: &AtomicUsize,
-    clock_cell: &AtomicU64,
-    directory: &Directory,
-) -> ShardWindowOutcome {
-    let mut procs: HashMap<Pid, &mut ProcEntry> = part.into_iter().collect();
-    let mut seq = seq_start;
-    let mut out = ShardWindowOutcome::default();
-    let violation = |entry: &Entry, detail: String| {
-        Some((
-            (entry.time, entry.seq),
-            SimError::LookaheadViolation {
-                at: entry.time,
-                detail,
-            },
-        ))
-    };
-    'window: loop {
-        if unfinished.load(Ordering::Acquire) == 0 {
-            break;
-        }
-        match heap.peek() {
-            Some(Reverse(e)) if e.time < window_end => {}
-            _ => break,
-        }
-        let Reverse(entry) = heap.pop().expect("peeked");
-        clock_cell.store(entry.time, Ordering::Release);
-        let (pid, kind) = match entry.item {
-            QueueItem::Timeout(pid, epoch) => {
-                let p = procs.get_mut(&pid).expect("foreign entry in shard heap");
-                let stale =
-                    p.wait_epoch != epoch || !matches!(p.state, ProcState::Waiting { .. });
-                if stale {
-                    continue;
-                }
-                if let ProcState::Waiting { event, .. } = p.state {
-                    let mut ws = waiters.lock();
-                    if let Some(v) = ws.get_mut(&event) {
-                        v.retain(|w| w.pid != pid);
-                        if v.is_empty() {
-                            ws.remove(&event);
-                        }
-                    }
-                }
-                p.wait_epoch += 1;
-                p.state = ProcState::Runnable;
-                (pid, ResumeKind::TimedOut)
-            }
-            QueueItem::Resume(pid, kind) => {
-                if procs.get(&pid).expect("foreign entry in shard heap").state
-                    == ProcState::Done
-                {
-                    continue;
-                }
-                (pid, kind)
-            }
-        };
-        out.dispatched += 1;
-        let (reason, dispatch_idx, effects) = {
-            let p = procs.get_mut(&pid).expect("dispatching pid");
-            p.dispatch_count += 1;
-            let effects = Arc::clone(&p.effects);
-            (p.rendezvous.resume_and_wait(kind), p.dispatch_count, effects)
-        };
-        // Side effects: zero-delay notifications deliver to local waiters
-        // immediately; delayed ones (>= lookahead) defer to the boundary.
-        let mut effect_idx = 0u32;
-        loop {
-            let next = effects.notifications.lock().pop_front();
-            let Some((event, dt)) = next else { break };
-            if dt == 0 {
-                if let Err(foreign) = wake_local_waiters(
-                    event,
-                    entry.time,
-                    &mut procs,
-                    heap,
-                    waiters,
-                    &mut seq,
-                    &mut out.notifications,
-                ) {
-                    out.error = violation(
-                        &entry,
-                        format!(
-                            "zero-delay notification from pid {pid} reached cross-shard \
-                             waiter pid {foreign}; use notify_after(_, dt >= lookahead) \
-                             or a latency-bearing channel"
-                        ),
-                    );
-                    break 'window;
-                }
-            } else if dt < lookahead {
-                out.error = violation(
-                    &entry,
-                    format!(
-                        "notify_after delay {dt} from pid {pid} is shorter than the \
-                         lookahead {lookahead}"
-                    ),
-                );
-                break 'window;
-            } else {
-                out.timed.push(TimedEntry {
-                    time: entry.time.saturating_add(dt),
-                    tag: EffectTag {
-                        pid,
-                        dispatch: dispatch_idx,
-                        effect: effect_idx,
-                    },
-                    event,
-                });
-            }
-            effect_idx += 1;
-        }
-        if !effects.spawns.lock().is_empty() {
-            out.error = violation(
-                &entry,
-                format!(
-                    "pid {pid} spawned a process inside a parallel window; spawn \
-                     processes before running, or run with lookahead 0"
-                ),
-            );
-            break;
-        }
-        match reason {
-            YieldReason::Advance(dt) => {
-                let s = seq;
-                seq += 1;
-                heap.push(Reverse(Entry {
-                    time: entry.time.saturating_add(dt),
-                    seq: s,
-                    item: QueueItem::Resume(pid, ResumeKind::Scheduled),
-                }));
-            }
-            YieldReason::YieldNow => {
-                let s = seq;
-                seq += 1;
-                heap.push(Reverse(Entry {
-                    time: entry.time,
-                    seq: s,
-                    item: QueueItem::Resume(pid, ResumeKind::Scheduled),
-                }));
-            }
-            YieldReason::Wait(event) => {
-                let p = procs.get_mut(&pid).expect("dispatching pid");
-                let epoch = p.wait_epoch;
-                p.state = ProcState::Waiting { event, epoch };
-                waiters.lock().entry(event).or_default().push(Waiter {
-                    pid,
-                    reg: (entry.time, entry.seq),
-                });
-            }
-            YieldReason::WaitTimeout(event, dt) => {
-                let epoch = {
-                    let p = procs.get_mut(&pid).expect("dispatching pid");
-                    let epoch = p.wait_epoch;
-                    p.state = ProcState::Waiting { event, epoch };
-                    epoch
-                };
-                waiters.lock().entry(event).or_default().push(Waiter {
-                    pid,
-                    reg: (entry.time, entry.seq),
-                });
-                let s = seq;
-                seq += 1;
-                heap.push(Reverse(Entry {
-                    time: entry.time.saturating_add(dt),
-                    seq: s,
-                    item: QueueItem::Timeout(pid, epoch),
-                }));
-            }
-            YieldReason::Done | YieldReason::Panicked(_) => {
-                let daemon = {
-                    let p = procs.get_mut(&pid).expect("dispatching pid");
-                    p.state = ProcState::Done;
-                    p.daemon
-                };
-                if !daemon {
-                    unfinished.fetch_sub(1, Ordering::AcqRel);
-                }
-                let completion = directory.mark_finished(pid);
-                if let Err(foreign) = wake_local_waiters(
-                    completion,
-                    entry.time,
-                    &mut procs,
-                    heap,
-                    waiters,
-                    &mut seq,
-                    &mut out.notifications,
-                ) {
-                    out.error = violation(
-                        &entry,
-                        format!(
-                            "completion of pid {pid} would wake cross-shard joiner \
-                             pid {foreign}; pin joined processes to one shard"
-                        ),
-                    );
-                    break;
-                }
-                if let Some(handle) = procs
-                    .get_mut(&pid)
-                    .expect("dispatching pid")
-                    .handle
-                    .take()
-                {
-                    let _ = handle.join();
-                }
-                if let YieldReason::Panicked(message) = reason {
-                    let name = procs.get(&pid).expect("dispatching pid").name.clone();
-                    out.error =
-                        Some(((entry.time, entry.seq), SimError::ProcessPanicked { name, message }));
-                    break;
-                }
-            }
-        }
-        debug_assert!(
-            seq - seq_start < SEQ_BLOCK,
-            "per-window sequence block exhausted"
-        );
-        out.max_depth = out.max_depth.max(heap.len() as u64);
-    }
-    out
 }
 
 impl Drop for Kernel {
     fn drop(&mut self) {
-        // Unblock and join every process thread that is still parked.
+        // Resume every unfinished fiber (blocked, suspended past a
+        // horizon, or never started) with `Killed`, so its stack unwinds
+        // and drops what it holds before the stack is freed.
         self.clock.shutting_down.store(true, Ordering::Release);
         for proc in &mut self.procs {
-            if proc.state != ProcState::Done {
-                proc.rendezvous.kill();
-            }
-            if let Some(handle) = proc.handle.take() {
-                let _ = handle.join();
-            }
+            proc.rendezvous.resume(&mut proc.fiber, ResumeKind::Killed);
         }
-    }
-}
-
-/// Test-only surface over the kernel's internal ordering machinery, used
-/// by the merge-order property tests. Hidden from the public API.
-#[doc(hidden)]
-pub mod testkit {
-    use super::*;
-
-    /// Pop order of a single global heap holding every `(time, seq)` key.
-    pub fn global_pop_order(entries: &[(Time, u64)]) -> Vec<(Time, u64)> {
-        let mut heap = BinaryHeap::with_capacity(entries.len());
-        for &(time, seq) in entries {
-            heap.push(Reverse(Entry {
-                time,
-                seq,
-                item: QueueItem::Resume(0, ResumeKind::Scheduled),
-            }));
-        }
-        let mut out = Vec::with_capacity(entries.len());
-        while let Some(Reverse(e)) = heap.pop() {
-            out.push((e.time, e.seq));
-        }
-        out
-    }
-
-    /// The windowed kernel's boundary merge: K shard-local heaps folded
-    /// back into one global heap (exactly what `run_windowed` does on
-    /// exit), then popped. Must equal [`global_pop_order`] over the same
-    /// entries for any partition.
-    pub fn boundary_merge_order(shards: &[Vec<(Time, u64)>]) -> Vec<(Time, u64)> {
-        let mut local: Vec<BinaryHeap<Reverse<Entry>>> = shards
-            .iter()
-            .map(|batch| {
-                let mut h = BinaryHeap::with_capacity(batch.len());
-                for &(time, seq) in batch {
-                    h.push(Reverse(Entry {
-                        time,
-                        seq,
-                        item: QueueItem::Resume(0, ResumeKind::Scheduled),
-                    }));
-                }
-                h
-            })
-            .collect();
-        let mut global = BinaryHeap::new();
-        for heap in &mut local {
-            while let Some(entry) = heap.pop() {
-                global.push(entry);
-            }
-        }
-        let mut out = Vec::new();
-        while let Some(Reverse(e)) = global.pop() {
-            out.push((e.time, e.seq));
-        }
-        out
     }
 }
 
@@ -1520,6 +728,29 @@ mod tests {
     }
 
     #[test]
+    fn dropping_the_kernel_unwinds_suspended_and_unstarted_processes() {
+        let held = Arc::new(());
+        let mut k = Kernel::new();
+        let never = k.alloc_event();
+        let h = Arc::clone(&held);
+        k.spawn_daemon("blocked", move |ctx| {
+            let _held = h;
+            ctx.wait(never);
+        });
+        let h = Arc::clone(&held);
+        k.spawn("suspended", move |ctx| {
+            let _held = h;
+            ctx.advance(1_000);
+        });
+        assert_eq!(k.run_until(500).unwrap(), RunOutcome::Horizon);
+        let h = Arc::clone(&held);
+        k.spawn("unstarted", move |_ctx| drop(h));
+        assert_eq!(Arc::strong_count(&held), 4);
+        drop(k);
+        assert_eq!(Arc::strong_count(&held), 1);
+    }
+
+    #[test]
     fn max_queue_depth_is_tracked() {
         let mut k = Kernel::new();
         for i in 0..16 {
@@ -1528,46 +759,5 @@ mod tests {
         k.run().unwrap();
         let depth = k.stats().max_queue_depth;
         assert!(depth >= 16, "expected at least 16, got {depth}");
-    }
-
-    #[test]
-    fn shard_assignment_is_round_robin_and_pinnable() {
-        let mut k = Kernel::with_config(KernelConfig::default().shards(3));
-        let a = k.spawn("a", |_| {});
-        let b = k.spawn("b", |_| {});
-        let c = k.spawn("c", |_| {});
-        let d = k.spawn_on(7, "d", |_| {});
-        assert_eq!(k.shard_of(a), 0);
-        assert_eq!(k.shard_of(b), 1);
-        assert_eq!(k.shard_of(c), 2);
-        assert_eq!(k.shard_of(d), 7 % 3);
-        k.run().unwrap();
-    }
-
-    #[test]
-    fn fallback_mode_matches_sequential_exactly() {
-        fn run_with(shards: usize) -> (Time, KernelStats) {
-            let mut k = Kernel::with_config(KernelConfig::default().shards(shards));
-            let e = k.alloc_event();
-            for i in 0..12u64 {
-                k.spawn(format!("w{i}"), move |ctx| {
-                    ctx.advance(i * 5 + 1);
-                    ctx.notify(e);
-                    ctx.advance(2);
-                });
-            }
-            k.spawn("collector", move |ctx| {
-                for _ in 0..12 {
-                    ctx.wait(e);
-                }
-            });
-            k.run().unwrap();
-            (k.now(), k.stats())
-        }
-        // Zero lookahead: shards > 1 degrade to the shared-queue fallback
-        // and must be byte-identical to the sequential kernel, including
-        // the queue-depth gauge.
-        assert_eq!(run_with(1), run_with(2));
-        assert_eq!(run_with(1), run_with(4));
     }
 }

@@ -3,10 +3,10 @@
 //! This crate provides the execution substrate for the simulated STi7200
 //! MPSoC used by the EMBera reproduction. It is a *conservative*,
 //! fully deterministic discrete-event kernel in which simulated processes
-//! are **thread-backed coroutines**: every process runs on a host thread,
-//! but the kernel only ever lets one process run at a time, handing control
-//! to the process whose next event fires earliest. Repeated runs of the
-//! same simulation therefore produce bit-identical schedules.
+//! are **fibers**: every process runs on its own stack, and the kernel
+//! resumes one process at a time on its own thread, the one whose next
+//! event fires earliest. Repeated runs of the same simulation therefore
+//! produce bit-identical schedules.
 //!
 //! Virtual time is measured in [`Time`] units (nanoseconds of a global
 //! reference clock). Processes interact with the kernel exclusively
@@ -48,7 +48,7 @@ pub mod process;
 
 pub use channel::{BoundedSimChannel, LatentChannel, SimChannel};
 pub use error::{DeadlockInfo, SimError};
-pub use kernel::{Kernel, KernelConfig, KernelStats, RunOutcome};
+pub use kernel::{Kernel, KernelStats, RunOutcome};
 pub use process::{EventId, Pid, ResumeKind, SimCtx};
 
 /// Virtual time, in nanoseconds of the global reference clock.

@@ -1,20 +1,26 @@
 //! Simulated processes and the [`SimCtx`] handle they run against.
 //!
-//! A simulated process is host thread that cooperates with the kernel in
+//! A simulated process is a fiber that cooperates with the kernel in
 //! strict lock-step: the kernel resumes it, the process runs until it
 //! needs virtual time to pass (or an event to fire), then it yields back.
-//! At most one process executes per kernel *shard* at any instant (one in
-//! total under the default sequential configuration), and the dispatch
-//! order within and across shards is fully determined by virtual time,
-//! which is what makes the simulation deterministic.
+//! Only one process executes at any instant and the dispatch order is
+//! fully determined by virtual time, which is what makes the simulation
+//! deterministic.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use embera_fiber::{fiber_yield, Fiber, Resume};
+use parking_lot::Mutex;
 
 use crate::Time;
+
+/// Stack size of a process fiber: the default stack of a spawned Rust
+/// thread. Heap stacks are committed lazily, so only the pages a process
+/// touches become resident.
+const PROCESS_STACK_BYTES: usize = 2 * 1024 * 1024;
 
 /// Identifier of a simulated process.
 pub type Pid = usize;
@@ -56,74 +62,50 @@ pub(crate) enum YieldReason {
     Panicked(String),
 }
 
-/// Lock-step rendezvous between the kernel and one process thread.
+/// Two-slot hand-off between the kernel and one process fiber: the
+/// kernel puts the resume kind in and resumes the fiber; the process
+/// takes the kind out, runs, puts its yield reason in and yields back.
 #[derive(Default)]
 pub(crate) struct Rendezvous {
-    state: Mutex<RendezvousState>,
-    cond: Condvar,
-}
-
-#[derive(Default)]
-struct RendezvousState {
-    /// Set by the kernel to hand control to the process.
-    go: Option<ResumeKind>,
-    /// Set by the process to hand control back.
-    yielded: Option<YieldReason>,
+    resume: Mutex<Option<ResumeKind>>,
+    yielded: Mutex<Option<YieldReason>>,
 }
 
 impl Rendezvous {
-    /// Kernel side: resume the process and block until it yields.
-    pub(crate) fn resume_and_wait(&self, kind: ResumeKind) -> YieldReason {
-        let mut st = self.state.lock();
-        debug_assert!(st.go.is_none(), "double resume");
-        st.go = Some(kind);
-        self.cond.notify_all();
-        loop {
-            if let Some(reason) = st.yielded.take() {
-                return reason;
-            }
-            self.cond.wait(&mut st);
+    /// Kernel side: run the process in `slot` until it yields or
+    /// finishes, and return what it reported. The slot is emptied once
+    /// the fiber finishes. The fiber is out of the slot while it runs,
+    /// so a fiber whose resume panics (stack canary) is freed, never
+    /// resumed again. `None` means the process ended without a report:
+    /// it was killed, or the slot was already empty.
+    pub(crate) fn resume(&self, slot: &mut Option<Fiber>, kind: ResumeKind) -> Option<YieldReason> {
+        let mut fiber = slot.take()?;
+        *self.resume.lock() = Some(kind);
+        if fiber.resume() == Resume::Yielded {
+            *slot = Some(fiber);
         }
+        self.yielded.lock().take()
     }
 
-    /// Process side: publish a yield reason and block until resumed.
-    fn yield_and_wait(&self, reason: YieldReason) -> ResumeKind {
-        let mut st = self.state.lock();
-        debug_assert!(st.yielded.is_none(), "double yield");
-        st.yielded = Some(reason);
-        self.cond.notify_all();
-        loop {
-            if let Some(kind) = st.go.take() {
-                return kind;
-            }
-            self.cond.wait(&mut st);
-        }
+    /// Process side: publish a yield reason, switch back to the kernel,
+    /// and return the kind the kernel resumed us with.
+    fn yield_to_kernel(&self, reason: YieldReason) -> ResumeKind {
+        *self.yielded.lock() = Some(reason);
+        fiber_yield();
+        self.take_resume()
     }
 
-    /// Kernel-shutdown path: hand the process a `Killed` resume without
-    /// waiting for a yield (the process thread exits instead of yielding).
-    pub(crate) fn kill(&self) {
-        let mut st = self.state.lock();
-        st.go = Some(ResumeKind::Killed);
-        self.cond.notify_all();
-    }
-
-    /// Process side: wait for the very first resume without yielding.
-    fn wait_first(&self) -> ResumeKind {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(kind) = st.go.take() {
-                return kind;
-            }
-            self.cond.wait(&mut st);
-        }
+    fn take_resume(&self) -> ResumeKind {
+        self.resume
+            .lock()
+            .take()
+            .expect("process resumed without a resume kind")
     }
 }
 
-/// Side-effect queues a running process fills and the kernel drains after
-/// each yield. One instance **per process**: in sharded execution several
-/// processes run concurrently (one per shard), and per-process queues keep
-/// each shard's effect stream private to the dispatching worker.
+/// Side-effect queues the running process fills and the kernel drains
+/// after each yield. One instance per kernel: only one process runs at a
+/// time, so the queues hold exactly the effects of the current slice.
 /// Notifications carry a delivery delay: `0` means "wake current waiters
 /// when this slice ends" (the classic [`SimCtx::notify`]), a positive
 /// delay defers delivery onto the kernel's timed-notification queue
@@ -174,7 +156,7 @@ impl Directory {
     }
 }
 
-/// Shared, lock-free view of kernel state readable from process threads.
+/// Shared, lock-free view of kernel state readable from processes.
 pub(crate) struct SharedClock {
     pub(crate) now: AtomicU64,
     pub(crate) next_event_id: AtomicU64,
@@ -191,25 +173,21 @@ impl SharedClock {
     }
 }
 
-/// Panic payload used to unwind a process thread when the kernel kills it.
+/// Payload that unwinds a process fiber when the kernel kills it.
 pub(crate) struct KilledToken;
 
 /// Handle through which a simulated process interacts with the kernel.
 ///
 /// All blocking operations (`advance`, `wait`, …) transfer control to the
 /// kernel and only return once the kernel schedules this process again.
-/// If the kernel is dropped mid-simulation the next blocking call unwinds
-/// the process thread; user code never observes this (the unwind is caught
-/// at the process boundary).
+/// If the kernel is dropped mid-simulation the blocking call unwinds the
+/// process fiber; user code never observes this (the unwind is caught at
+/// the process boundary).
 pub struct SimCtx {
     pub(crate) pid: Pid,
     pub(crate) name: String,
     pub(crate) rendezvous: Arc<Rendezvous>,
     pub(crate) clock: Arc<SharedClock>,
-    /// Virtual time as seen by this process's shard. With one shard this
-    /// tracks the global clock exactly; in windowed execution each shard
-    /// advances its own copy inside the current time window.
-    pub(crate) now_cell: Arc<AtomicU64>,
     pub(crate) effects: Arc<SideEffects>,
     pub(crate) directory: Arc<Directory>,
 }
@@ -225,10 +203,9 @@ impl SimCtx {
         &self.name
     }
 
-    /// Current virtual time in nanoseconds (this shard's view; identical
-    /// to the global clock under sequential execution).
+    /// Current virtual time in nanoseconds.
     pub fn now(&self) -> Time {
-        self.now_cell.load(Ordering::Acquire)
+        self.clock.now.load(Ordering::Acquire)
     }
 
     /// Allocate a fresh event token. Never blocks.
@@ -245,10 +222,9 @@ impl SimCtx {
 
     /// Queue a notification for `event` to be delivered `dt` virtual
     /// nanoseconds from now. Waiters registered at delivery time are
-    /// woken then. This is the latency-bearing form of [`SimCtx::notify`]
-    /// that gives sharded execution its lookahead: under windowed
-    /// parallelism `dt` must be at least the kernel's lookahead, or the
-    /// run fails with a lookahead violation.
+    /// woken then. Deliveries due at the same time are applied in the
+    /// order of the process that queued them, then of its dispatch, then
+    /// of the call within that dispatch.
     pub fn notify_after(&self, event: EventId, dt: Time) {
         self.effects.notifications.lock().push_back((event, dt));
     }
@@ -322,43 +298,32 @@ impl SimCtx {
 
     fn do_yield(&self, reason: YieldReason) -> ResumeKind {
         if self.clock.shutting_down.load(Ordering::Acquire) {
-            std::panic::panic_any(KilledToken);
+            resume_unwind(Box::new(KilledToken));
         }
-        let kind = self.rendezvous.yield_and_wait(reason);
+        let kind = self.rendezvous.yield_to_kernel(reason);
         if kind == ResumeKind::Killed {
-            std::panic::panic_any(KilledToken);
+            resume_unwind(Box::new(KilledToken));
         }
         kind
     }
 }
 
-/// Body of a process thread: wait for the initial resume, run the user
-/// closure under `catch_unwind`, and report the outcome.
-pub(crate) fn process_main(ctx: SimCtx, body: Box<dyn FnOnce(SimCtx) + Send + 'static>) {
-    let rendezvous = Arc::clone(&ctx.rendezvous);
-    let first = rendezvous.wait_first();
-    if first == ResumeKind::Killed {
-        return;
-    }
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || body(ctx)));
-    match result {
-        Ok(()) => {
-            // Final yield: the kernel sees Done and never resumes us.
-            let mut st = rendezvous.state.lock();
-            st.yielded = Some(YieldReason::Done);
-            rendezvous.cond.notify_all();
+/// Create the fiber of one process: on its first resume it runs `body`
+/// under `catch_unwind` and reports how it ended. A process killed before
+/// it ever ran, or while suspended, ends without a report.
+pub(crate) fn process_fiber(ctx: SimCtx, body: Box<dyn FnOnce(SimCtx) + Send + 'static>) -> Fiber {
+    Fiber::spawn(PROCESS_STACK_BYTES, move || {
+        let rendezvous = Arc::clone(&ctx.rendezvous);
+        if rendezvous.take_resume() == ResumeKind::Killed {
+            return;
         }
-        Err(payload) => {
-            if payload.downcast_ref::<KilledToken>().is_some() {
-                // Kernel shutdown: exit silently without reporting.
-                return;
-            }
-            let message = payload_to_string(&*payload);
-            let mut st = rendezvous.state.lock();
-            st.yielded = Some(YieldReason::Panicked(message));
-            rendezvous.cond.notify_all();
-        }
-    }
+        let reason = match catch_unwind(AssertUnwindSafe(move || body(ctx))) {
+            Ok(()) => YieldReason::Done,
+            Err(payload) if payload.is::<KilledToken>() => return,
+            Err(payload) => YieldReason::Panicked(payload_to_string(&*payload)),
+        };
+        *rendezvous.yielded.lock() = Some(reason);
+    })
 }
 
 fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {

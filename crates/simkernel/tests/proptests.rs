@@ -78,28 +78,6 @@ proptest! {
     }
 
     #[test]
-    fn shard_boundary_merge_equals_global_heap_order(
-        // Arbitrary (time, seq) keys with deliberate time collisions
-        // (narrow time range), partitioned over 1–6 shard-local queues.
-        entries in prop::collection::vec((0u64..64, 0u64..10_000), 0..200),
-        shards in 1usize..6,
-    ) {
-        use sim_kernel::kernel::testkit::{boundary_merge_order, global_pop_order};
-        let mut parts: Vec<Vec<(Time, u64)>> = vec![Vec::new(); shards];
-        // Round-robin partition mirrors the kernel's process placement;
-        // the property must hold for *any* partition, and round-robin
-        // over arbitrary entry lists reaches them all.
-        for (i, &e) in entries.iter().enumerate() {
-            parts[i % shards].push(e);
-        }
-        prop_assert_eq!(
-            boundary_merge_order(&parts),
-            global_pop_order(&entries),
-            "K-way boundary merge diverged from the single-heap schedule"
-        );
-    }
-
-    #[test]
     fn channel_preserves_fifo_under_any_timing(
         gaps in prop::collection::vec(0u64..50, 1..100)
     ) {
