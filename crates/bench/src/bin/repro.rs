@@ -1773,7 +1773,8 @@ fn overload(scale: &Scale, args: &[String]) {
 ///
 /// 1. **Kernel event rate.** A PHOLD-style token ring on the simulation
 ///    kernel, reporting host-wall events/second and nanoseconds per
-///    event. The three repetitions are asserted to produce the same
+///    event, and how many events switched to a fiber and how many ran
+///    in place. The three repetitions are asserted to produce the same
 ///    schedule — the benchmark refuses to publish numbers for a
 ///    nondeterministic simulation.
 /// 2. **Sweep fan-out.** The same list of real-time-paced pipeline
@@ -1822,7 +1823,13 @@ fn shard_bench(scale: &Scale, args: &[String]) {
         kernel.run().expect("phold run");
         let wall_s = t0.elapsed().as_secs_f64();
         let stats = kernel.stats();
-        ((kernel.now(), stats.events_dispatched, stats.notifications_delivered), wall_s)
+        let schedule = (
+            kernel.now(),
+            stats.events_dispatched,
+            stats.fiber_resumes,
+            stats.notifications_delivered,
+        );
+        (schedule, wall_s)
     };
     let (schedule, mut wall) = run_phold();
     for _ in 0..2 {
@@ -1832,11 +1839,12 @@ fn shard_bench(scale: &Scale, args: &[String]) {
         assert_eq!(again, schedule, "phold schedule differs between repetitions");
         wall = wall.min(w);
     }
-    let (t_end, events, _) = schedule;
+    let (t_end, events, resumes, _) = schedule;
     let events_per_s = events as f64 / wall;
     println!(
-        "phold: {events_per_s:>10.0} events/s  {:.0} host ns/event  ({events} events, {wall:.4} s host wall, t_end {t_end} ns)",
-        wall * 1e9 / events as f64
+        "phold: {events_per_s:>10.0} events/s  {:.0} host ns/event  ({events} events: {resumes} fiber resumes, {} in place; {wall:.4} s host wall, t_end {t_end} ns)",
+        wall * 1e9 / events as f64,
+        events - resumes
     );
 
     // 2. Sweep fan-out: identical cell list at jobs=1 and jobs=N.

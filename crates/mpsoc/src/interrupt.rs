@@ -100,9 +100,10 @@ impl InterruptController {
     /// line is level-triggered), but blocked waiters are only notified
     /// once the delay elapses. With `delay == 0` this is [`raise`].
     ///
-    /// Under sharded kernel execution a non-zero delay at or above the
-    /// kernel's lookahead keeps cross-shard doorbells legal inside a
-    /// window; see the `sim-kernel` module docs.
+    /// The delayed wakeup is a timed notification
+    /// ([`SimCtx::notify_after`]): it wakes the waiters registered when
+    /// it is delivered, and deliveries due at the same time keep a fixed
+    /// order, so the schedule stays deterministic.
     ///
     /// [`raise`]: InterruptController::raise
     pub fn raise_after(&self, ctx: &SimCtx, line: IrqLine, delay: Time) {
@@ -113,11 +114,7 @@ impl InterruptController {
             st.events.get(&line).copied()
         };
         if let Some(e) = event {
-            if delay == 0 {
-                ctx.notify(e);
-            } else {
-                ctx.notify_after(e, delay);
-            }
+            ctx.notify_after(e, delay);
         }
     }
 

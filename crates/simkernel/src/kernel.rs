@@ -8,7 +8,9 @@
 //! dispatch and the call within that dispatch; a delivery wins a tie
 //! with a queued event of the same time. Each dispatch resumes the
 //! process's fiber on the caller's thread and returns once the process
-//! yields back, so the simulation is a single thread of control.
+//! yields back, so the simulation is a single thread of control. A
+//! [`SimCtx::advance`] that lands before anything else is due runs in
+//! place, without the yield; it still counts as a dispatched event.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -41,8 +43,12 @@ pub enum RunOutcome {
 /// Aggregate statistics about a simulation run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Number of events dispatched.
+    /// Number of events dispatched, including steps a process took in
+    /// place ([`SimCtx::advance`] with nothing else due).
     pub events_dispatched: u64,
+    /// Number of events that switched to a process fiber;
+    /// `events_dispatched - fiber_resumes` steps ran in place.
+    pub fiber_resumes: u64,
     /// Number of processes ever spawned.
     pub processes_spawned: u64,
     /// Number of event notifications delivered to waiters.
@@ -135,6 +141,8 @@ pub struct Kernel {
     effects: Arc<SideEffects>,
     directory: Arc<Directory>,
     seq: u64,
+    /// Non-daemon processes that have not finished.
+    live: usize,
     stats: KernelStats,
 }
 
@@ -152,10 +160,11 @@ impl Kernel {
             queue: BinaryHeap::with_capacity(INITIAL_QUEUE_CAPACITY),
             timed: BinaryHeap::new(),
             waiters: HashMap::new(),
-            clock: Arc::new(SharedClock::new()),
+            clock: Arc::new(SharedClock::default()),
             effects: Arc::new(SideEffects::default()),
             directory: Arc::new(Directory::default()),
             seq: 0,
+            live: 0,
             stats: KernelStats::default(),
         }
     }
@@ -225,6 +234,7 @@ impl Kernel {
             dispatch_count: 0,
         });
         self.stats.processes_spawned += 1;
+        self.live += usize::from(!daemon);
         // Pre-size ahead of demand: each process typically keeps at most
         // a resume plus a timeout in flight.
         let want = self.procs.len() * 2;
@@ -274,6 +284,10 @@ impl Kernel {
     }
 
     fn drain_side_effects(&mut self, pid: Pid) {
+        if !self.effects.pending.load(Ordering::Relaxed) {
+            return;
+        }
+        self.effects.pending.store(false, Ordering::Relaxed);
         let effects = Arc::clone(&self.effects);
         let dispatch = self.procs[pid].dispatch_count;
         let now = self.now();
@@ -311,12 +325,6 @@ impl Kernel {
         }
     }
 
-    fn all_non_daemons_done(&self) -> bool {
-        self.procs
-            .iter()
-            .all(|p| p.daemon || p.state == ProcState::Done)
-    }
-
     fn blocked_names(&self) -> Vec<String> {
         self.procs
             .iter()
@@ -337,7 +345,7 @@ impl Kernel {
     /// virtual clock would pass `horizon`.
     pub fn run_until(&mut self, horizon: Time) -> Result<RunOutcome, SimError> {
         loop {
-            if self.all_non_daemons_done() && !self.procs.is_empty() {
+            if self.live == 0 && !self.procs.is_empty() {
                 return Ok(RunOutcome::Completed);
             }
             // Next source: the timed-notification heap or the event queue;
@@ -348,7 +356,7 @@ impl Kernel {
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
                 (None, None) => {
-                    if self.all_non_daemons_done() {
+                    if self.live == 0 {
                         return Ok(RunOutcome::Completed);
                     }
                     return Err(SimError::Deadlock(DeadlockInfo {
@@ -394,13 +402,13 @@ impl Kernel {
                     }
                     self.procs[pid].wait_epoch += 1;
                     self.procs[pid].state = ProcState::Runnable;
-                    self.dispatch(pid, ResumeKind::TimedOut)?;
+                    self.dispatch(pid, ResumeKind::TimedOut, horizon)?;
                 }
                 QueueItem::Resume(pid, kind) => {
                     if self.procs[pid].state == ProcState::Done {
                         continue;
                     }
-                    self.dispatch(pid, kind)?;
+                    self.dispatch(pid, kind, horizon)?;
                 }
             }
         }
@@ -408,22 +416,34 @@ impl Kernel {
 
     /// Resume `pid` until it yields, then apply side effects and the
     /// yield reason.
-    fn dispatch(&mut self, pid: Pid, kind: ResumeKind) -> Result<(), SimError> {
-        self.stats.events_dispatched += 1;
+    ///
+    /// Before the resume the kernel publishes the earliest time at which
+    /// anything else is due: the head of the event queue, the head of the
+    /// timed heap, or the step past the horizon. The process advances in
+    /// place up to that time. Each in-place step counts as the dispatch it
+    /// replaces. `max_queue_depth` needs no update for them: each would
+    /// have pushed onto the queue as it stands now, and the queue was
+    /// already that long before this dispatch's entry was popped.
+    fn dispatch(&mut self, pid: Pid, kind: ResumeKind, horizon: Time) -> Result<(), SimError> {
+        let queued = self.queue.peek().map_or(Time::MAX, |Reverse(e)| e.time);
+        let timed = self.timed.peek().map_or(Time::MAX, |Reverse(t)| t.time);
+        let due = queued.min(timed).min(horizon.saturating_add(1));
+        self.clock.due.store(due, Ordering::Relaxed);
         let p = &mut self.procs[pid];
-        p.dispatch_count += 1;
         let reason = p
             .rendezvous
             .resume(&mut p.fiber, kind)
             .expect("process yielded without a reason");
+        let steps = self.clock.in_place_steps.load(Ordering::Relaxed);
+        self.clock.in_place_steps.store(0, Ordering::Relaxed);
+        self.stats.events_dispatched += 1 + steps;
+        self.stats.fiber_resumes += 1;
+        self.procs[pid].dispatch_count += 1 + steps;
         self.drain_side_effects(pid);
         let now = self.now();
         match reason {
             YieldReason::Advance(dt) => {
                 self.push(now.saturating_add(dt), QueueItem::Resume(pid, ResumeKind::Scheduled));
-            }
-            YieldReason::YieldNow => {
-                self.push(now, QueueItem::Resume(pid, ResumeKind::Scheduled));
             }
             YieldReason::Wait(event) => {
                 let epoch = self.procs[pid].wait_epoch;
@@ -436,20 +456,22 @@ impl Kernel {
                 self.waiters.entry(event).or_default().push(pid);
                 self.push(now.saturating_add(dt), QueueItem::Timeout(pid, epoch));
             }
-            YieldReason::Done => {
-                self.procs[pid].state = ProcState::Done;
-                let completion = self.directory.mark_finished(pid);
-                self.deliver_notification(completion);
-            }
+            YieldReason::Done => self.finish(pid),
             YieldReason::Panicked(message) => {
-                self.procs[pid].state = ProcState::Done;
-                let completion = self.directory.mark_finished(pid);
-                self.deliver_notification(completion);
+                self.finish(pid);
                 let name = self.procs[pid].name.clone();
                 return Err(SimError::ProcessPanicked { name, message });
             }
         }
         Ok(())
+    }
+
+    /// Mark `pid` finished and wake its joiners.
+    fn finish(&mut self, pid: Pid) {
+        self.procs[pid].state = ProcState::Done;
+        self.live -= usize::from(!self.procs[pid].daemon);
+        let completion = self.directory.mark_finished(pid);
+        self.deliver_notification(completion);
     }
 }
 
@@ -748,6 +770,38 @@ mod tests {
         assert_eq!(Arc::strong_count(&held), 4);
         drop(k);
         assert_eq!(Arc::strong_count(&held), 1);
+    }
+
+    #[test]
+    fn steps_with_nothing_else_due_run_in_place() {
+        let mut k = Kernel::new();
+        k.spawn("solo", |ctx| {
+            for _ in 0..10 {
+                ctx.advance(5);
+            }
+        });
+        k.run().unwrap();
+        assert_eq!(k.now(), 50);
+        let stats = k.stats();
+        assert_eq!(stats.events_dispatched, 11, "the start plus one event per step");
+        assert_eq!(stats.fiber_resumes, 1, "every step ran in place");
+        assert_eq!(stats.max_queue_depth, 1);
+    }
+
+    #[test]
+    fn live_count_tracks_runtime_spawns_and_daemons() {
+        let mut k = Kernel::new();
+        k.spawn_daemon("ticker", |ctx| loop {
+            ctx.advance(3);
+        });
+        k.spawn("parent", |ctx| {
+            let child = ctx.spawn("child", |c| c.advance(40));
+            ctx.advance(10);
+            ctx.join(child);
+        });
+        k.run().unwrap();
+        assert_eq!(k.now(), 40);
+        assert!(k.is_done(1) && k.is_done(2) && !k.is_done(0));
     }
 
     #[test]

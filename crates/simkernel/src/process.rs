@@ -3,13 +3,14 @@
 //! A simulated process is a fiber that cooperates with the kernel in
 //! strict lock-step: the kernel resumes it, the process runs until it
 //! needs virtual time to pass (or an event to fire), then it yields back.
-//! Only one process executes at any instant and the dispatch order is
-//! fully determined by virtual time, which is what makes the simulation
-//! deterministic.
+//! A time step with nothing else due first runs in place, without the
+//! yield. Only one process executes at any instant and the dispatch order
+//! is fully determined by virtual time, which is what makes the
+//! simulation deterministic.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use embera_fiber::{fiber_yield, Fiber, Resume};
@@ -54,22 +55,34 @@ pub(crate) enum YieldReason {
     Wait(EventId),
     /// Block me until `event` is notified or `dt` elapses.
     WaitTimeout(EventId, Time),
-    /// Reschedule me at the current time, after already-queued events.
-    YieldNow,
     /// The process body returned.
     Done,
     /// The process body panicked with this message.
     Panicked(String),
 }
 
-/// Two-slot hand-off between the kernel and one process fiber: the
-/// kernel puts the resume kind in and resumes the fiber; the process
-/// takes the kind out, runs, puts its yield reason in and yields back.
+/// Hand-off between the kernel and one process fiber: the kernel stores
+/// the resume kind and resumes the fiber; the process takes the kind,
+/// runs, stores its yield reason and yields back. The fiber switch
+/// orders these accesses (only one side runs at a time), so plain
+/// relaxed loads and stores suffice. Only a panic message, which has no
+/// fixed size, goes through a lock.
 #[derive(Default)]
 pub(crate) struct Rendezvous {
-    resume: Mutex<Option<ResumeKind>>,
-    yielded: Mutex<Option<YieldReason>>,
+    /// [`ResumeKind`] code, `0` when taken.
+    resume: AtomicU8,
+    /// [`YieldReason`] tag, `0` when taken.
+    tag: AtomicU8,
+    /// Operands of the yield reason: a delay or an event id.
+    words: [AtomicU64; 2],
+    panic_message: Mutex<Option<String>>,
 }
+
+const ADVANCE: u8 = 1;
+const WAIT: u8 = 2;
+const WAIT_TIMEOUT: u8 = 3;
+const DONE: u8 = 4;
+const PANICKED: u8 = 5;
 
 impl Rendezvous {
     /// Kernel side: run the process in `slot` until it yields or
@@ -80,26 +93,71 @@ impl Rendezvous {
     /// it was killed, or the slot was already empty.
     pub(crate) fn resume(&self, slot: &mut Option<Fiber>, kind: ResumeKind) -> Option<YieldReason> {
         let mut fiber = slot.take()?;
-        *self.resume.lock() = Some(kind);
+        let code = match kind {
+            ResumeKind::Scheduled => 1,
+            ResumeKind::Notified => 2,
+            ResumeKind::TimedOut => 3,
+            ResumeKind::Killed => 4,
+        };
+        self.resume.store(code, Ordering::Relaxed);
         if fiber.resume() == Resume::Yielded {
             *slot = Some(fiber);
         }
-        self.yielded.lock().take()
+        self.take_yield()
+    }
+
+    fn take_yield(&self) -> Option<YieldReason> {
+        let tag = self.tag.load(Ordering::Relaxed);
+        if tag == 0 {
+            return None;
+        }
+        self.tag.store(0, Ordering::Relaxed);
+        let word = |i: usize| self.words[i].load(Ordering::Relaxed);
+        Some(match tag {
+            ADVANCE => YieldReason::Advance(word(0)),
+            WAIT => YieldReason::Wait(EventId(word(0))),
+            WAIT_TIMEOUT => YieldReason::WaitTimeout(EventId(word(0)), word(1)),
+            DONE => YieldReason::Done,
+            PANICKED => YieldReason::Panicked(self.panic_message.lock().take().unwrap_or_default()),
+            other => unreachable!("unknown yield tag {other}"),
+        })
+    }
+
+    /// Process side: store a yield reason for the kernel to take.
+    fn publish(&self, reason: YieldReason) {
+        let (tag, a, b) = match reason {
+            YieldReason::Advance(dt) => (ADVANCE, dt, 0),
+            YieldReason::Wait(event) => (WAIT, event.0, 0),
+            YieldReason::WaitTimeout(event, dt) => (WAIT_TIMEOUT, event.0, dt),
+            YieldReason::Done => (DONE, 0, 0),
+            YieldReason::Panicked(message) => {
+                *self.panic_message.lock() = Some(message);
+                (PANICKED, 0, 0)
+            }
+        };
+        self.words[0].store(a, Ordering::Relaxed);
+        self.words[1].store(b, Ordering::Relaxed);
+        self.tag.store(tag, Ordering::Relaxed);
     }
 
     /// Process side: publish a yield reason, switch back to the kernel,
     /// and return the kind the kernel resumed us with.
     fn yield_to_kernel(&self, reason: YieldReason) -> ResumeKind {
-        *self.yielded.lock() = Some(reason);
+        self.publish(reason);
         fiber_yield();
         self.take_resume()
     }
 
     fn take_resume(&self) -> ResumeKind {
-        self.resume
-            .lock()
-            .take()
-            .expect("process resumed without a resume kind")
+        let code = self.resume.load(Ordering::Relaxed);
+        self.resume.store(0, Ordering::Relaxed);
+        match code {
+            1 => ResumeKind::Scheduled,
+            2 => ResumeKind::Notified,
+            3 => ResumeKind::TimedOut,
+            4 => ResumeKind::Killed,
+            _ => panic!("process resumed without a resume kind"),
+        }
     }
 }
 
@@ -112,6 +170,10 @@ impl Rendezvous {
 /// ([`SimCtx::notify_after`]).
 #[derive(Default)]
 pub(crate) struct SideEffects {
+    /// Set when the current slice queued anything; lets the kernel skip
+    /// the queues after a slice that queued nothing, and keeps
+    /// [`SimCtx::advance`] from running ahead of a queued effect.
+    pub(crate) pending: AtomicBool,
     pub(crate) notifications: Mutex<VecDeque<(EventId, Time)>>,
     #[allow(clippy::type_complexity)]
     pub(crate) spawns:
@@ -157,20 +219,18 @@ impl Directory {
 }
 
 /// Shared, lock-free view of kernel state readable from processes.
+#[derive(Default)]
 pub(crate) struct SharedClock {
     pub(crate) now: AtomicU64,
     pub(crate) next_event_id: AtomicU64,
     pub(crate) shutting_down: AtomicBool,
-}
-
-impl SharedClock {
-    pub(crate) fn new() -> Self {
-        SharedClock {
-            now: AtomicU64::new(0),
-            next_event_id: AtomicU64::new(0),
-            shutting_down: AtomicBool::new(false),
-        }
-    }
+    /// Earliest time at which anything but the running process is due,
+    /// published by the kernel before each resume. A step to a time
+    /// strictly before it needs no yield.
+    pub(crate) due: AtomicU64,
+    /// Steps the running process took in place since its resume; the
+    /// kernel folds them into its stats when the process yields.
+    pub(crate) in_place_steps: AtomicU64,
 }
 
 /// Payload that unwinds a process fiber when the kernel kills it.
@@ -179,7 +239,9 @@ pub(crate) struct KilledToken;
 /// Handle through which a simulated process interacts with the kernel.
 ///
 /// All blocking operations (`advance`, `wait`, …) transfer control to the
-/// kernel and only return once the kernel schedules this process again.
+/// kernel and only return once the kernel schedules this process again;
+/// `advance` skips the transfer when the kernel would schedule this
+/// process next anyway.
 /// If the kernel is dropped mid-simulation the blocking call unwinds the
 /// process fiber; user code never observes this (the unwind is caught at
 /// the process boundary).
@@ -217,7 +279,7 @@ impl SimCtx {
     /// on it are woken (at the current virtual time) once this process
     /// next yields. Never blocks and never wakes the caller itself.
     pub fn notify(&self, event: EventId) {
-        self.effects.notifications.lock().push_back((event, 0));
+        self.notify_after(event, 0);
     }
 
     /// Queue a notification for `event` to be delivered `dt` virtual
@@ -227,18 +289,35 @@ impl SimCtx {
     /// of the call within that dispatch.
     pub fn notify_after(&self, event: EventId, dt: Time) {
         self.effects.notifications.lock().push_back((event, dt));
+        self.effects.pending.store(true, Ordering::Relaxed);
     }
 
-    /// Let `dt` nanoseconds of virtual time pass.
+    /// Let `dt` nanoseconds of virtual time pass. Returns at once, without
+    /// a switch to the kernel, when nothing else is due by then.
     pub fn advance(&self, dt: Time) {
+        // Advance in place when yielding would resume this process next
+        // anyway: nothing else is due by the new time (a queued entry at
+        // equal time has a smaller seq, a timed delivery wins the tie),
+        // and this slice queued no effect that must be applied first.
+        let clock = &*self.clock;
+        let t = self.now().saturating_add(dt);
+        if t < clock.due.load(Ordering::Relaxed)
+            && !self.effects.pending.load(Ordering::Relaxed)
+            && !clock.shutting_down.load(Ordering::Relaxed)
+        {
+            clock.now.store(t, Ordering::Release);
+            let steps = &clock.in_place_steps;
+            steps.store(steps.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+            return;
+        }
         self.do_yield(YieldReason::Advance(dt));
     }
 
     /// Yield the processor, re-queueing this process at the current time
     /// *after* all already-scheduled same-time events. Lets same-time
-    /// peers run.
+    /// peers run. The same as `advance(0)`.
     pub fn yield_now(&self) {
-        self.do_yield(YieldReason::YieldNow);
+        self.advance(0);
     }
 
     /// Block until `event` is notified.
@@ -269,6 +348,7 @@ impl SimCtx {
             .spawns
             .lock()
             .push_back((name.into(), Box::new(body), pid));
+        self.effects.pending.store(true, Ordering::Relaxed);
         pid
     }
 
@@ -322,7 +402,7 @@ pub(crate) fn process_fiber(ctx: SimCtx, body: Box<dyn FnOnce(SimCtx) + Send + '
             Err(payload) if payload.is::<KilledToken>() => return,
             Err(payload) => YieldReason::Panicked(payload_to_string(&*payload)),
         };
-        *rendezvous.yielded.lock() = Some(reason);
+        rendezvous.publish(reason);
     })
 }
 
